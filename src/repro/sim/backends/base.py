@@ -60,27 +60,6 @@ class Backend(abc.ABC):
         up exactly as the reference loop leaves them.
         """
 
-    def prewarm(self, traces, l1_config) -> None:
-        """Precompute trace-pure artifacts for an upcoming :meth:`run`.
-
-        The chunked engine calls this on a helper thread with the *next*
-        chunk's trace windows while the current chunk replays, overlapping
-        whatever per-trace precomputation the backend can do from the trace
-        alone (no cache/buffer/prefetcher state is available — that state
-        does not exist yet).  Implementations must be thread-safe and must
-        not mutate any run object; the default does nothing.
-        """
-
-    def prewarm_pending(self, traces, l1_config) -> bool:
-        """Whether :meth:`prewarm` has any work left for these windows.
-
-        A cheap main-thread probe the chunked engine uses to skip spawning
-        the helper thread entirely once the backend's memos are warm (the
-        steady state of repeated runs).  The default matches the default
-        no-op :meth:`prewarm`: never any work.
-        """
-        return False
-
 
 #: name -> (factory, availability probe).  The probe keeps optional-dependency
 #: backends listed (for error messages and CLI help) without importing them.

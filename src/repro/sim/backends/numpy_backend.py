@@ -32,11 +32,14 @@ The key structural facts this backend exploits, each of which preserves
   (:func:`_replay_llc`).  Classification and bank counters are order-free
   aggregations either way.
 
-What stays per-event: PIF's stream machinery (index lookups, stream
-dispatch and the per-block owner/buffer bookkeeping) is feedback-coupled
-through the prefetch buffer, so it runs as an event loop over the non-hit
-accesses — but on top of the precomputed hit flags, record stream and L1
-contents, which removes the per-access cache and compactor work.
+What stays per-event: the stream machinery of PIF and SHIFT (index
+lookups, stream dispatch and the per-block owner/buffer bookkeeping) is
+feedback-coupled through the prefetch buffer, so it runs as an event loop
+per lane — but on top of the precomputed hit flags, record stream and L1
+contents, which removes the per-access cache and compactor work.  PIF's
+loop is Python; SHIFT's is a compiled C kernel (:mod:`._shift_kernel`,
+built once with the system C compiler and loaded through :mod:`ctypes`,
+see :mod:`._native`), which the backend needs to be available at all.
 
 * **SHIFT's shared history splits into epochs.**  Only the trainer lane
   ever writes the shared history, and the compactor feed is trace-pure,
@@ -44,8 +47,8 @@ contents, which removes the per-access cache and compactor work.
   is precomputed once per group.  Between appends the history is frozen —
   an epoch — so each consumer lane's replay depends on the other lanes
   only through that schedule, and the round-robin collapses into
-  independent per-lane event loops (:func:`_shift_lane_solve`): a lane's
-  view of the history at step ``t`` is exactly the appends whose
+  independent per-lane event loops (:func:`_shift_lane_solve`, compiled):
+  a lane's view of the history at step ``t`` is exactly the appends whose
   visibility step (the trainer's append step, plus one for lanes that
   precede the trainer in round-robin order) has been reached.  SHIFT's
   index capacity equals its history capacity, so ``IndexTable.get``
@@ -96,14 +99,18 @@ Fallbacks (always exact, never approximate): custom prefetchers serialize
 on their ``on_access`` hook, so they run through the Python backend, as
 does any lane with an L1 associativity other than 1 or 2, negative block
 addresses, a next-line run whose buffer would overflow, a spatial region
-wider than the int64 masks, or a SHIFT group whose index and history
-capacities differ.
+wider than the int64 masks, a SHIFT group whose index and history
+capacities differ, or SHIFT history triggers within ``region_blocks`` of
+the int64 limit (the kernel's ``trigger + offset`` would overflow where
+Python ints grow).
 """
 
 from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from itertools import chain
+from operator import attrgetter
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -122,6 +129,7 @@ from ..prefetchers import (
     _expand_offsets,
     _Stream,
 )
+from . import _shift_kernel
 from .base import Backend
 from .python_backend import PythonBackend
 
@@ -133,6 +141,9 @@ _MAX_FIXPOINT_ITERS = 64
 
 class _Unsupported(Exception):
     """Raised before any mutation when a lane needs the Python loops."""
+
+
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 #: Cross-run memo of per-lane trace facts.  Everything in a _LaneArrays is a
@@ -162,11 +173,10 @@ _RECORD_CACHE_MAX = 512
 _LLC_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
 _LLC_CACHE_MAX = 512
 
-#: One lock guards every memo in this module.  The caches are read and
-#: written from the chunked engine's prewarm helper thread concurrently
-#: with the replay thread, and worker processes each hold their own copy,
-#: so a single coarse lock costs nothing measurable and keeps every
-#: get/put atomic.
+#: One lock guards every memo in this module.  Library callers may run
+#: simulations from several threads of one process (worker processes each
+#: hold their own copy), so every get/put is atomic; a single coarse lock
+#: costs nothing measurable.
 _MEMO_LOCK = threading.Lock()
 
 
@@ -1721,7 +1731,14 @@ _SHIFT_CACHE_MAX = 512
 
 
 class _ShiftLaneSolution:
-    """Everything one fresh-state SHIFT stream lane run produces."""
+    """Everything one SHIFT stream lane run produces.
+
+    The final buffer, streams and owner map are pairs of int64 columns as
+    the kernel wrote them — (blocks, issue steps) in FIFO order, (next
+    positions, last LLC blocks) in round-robin order and (blocks, stream
+    slots) in insertion order — so memoized solutions hold arrays, not
+    Python containers.
+    """
 
     __slots__ = (
         "misses",
@@ -1731,9 +1748,9 @@ class _ShiftLaneSolution:
         "record_reads",
         "llc_reads",
         "ages",
-        "buffer_items",
+        "buffer",
         "streams",
-        "owner_items",
+        "owner",
         "d_steps",
         "d_addrs",
         "p_steps",
@@ -1774,7 +1791,7 @@ class _ShiftGroupState:
         self.applied = None
 
 
-def _run_shift(lanes, inflight: Dict[int, int], prefetcher, llc) -> None:
+def _run_shift(kernel, lanes, inflight: Dict[int, int], prefetcher, llc) -> None:
     config = prefetcher._config
     region_blocks = config.spatial_region.region_blocks
     if region_blocks > 62:
@@ -1808,7 +1825,7 @@ def _run_shift(lanes, inflight: Dict[int, int], prefetcher, llc) -> None:
     solved = _cache_get(_SHIFT_CACHE, cache_key)
     if solved is None:
         solved = _solve_shift(
-            lanes, arrays, roles, groups, region_blocks, config, records_per_block
+            kernel, lanes, arrays, roles, groups, region_blocks, config, records_per_block
         )
         _cache_put(_SHIFT_CACHE, _SHIFT_CACHE_MAX, cache_key, solved)
     _apply_shift_solution(
@@ -1816,7 +1833,9 @@ def _run_shift(lanes, inflight: Dict[int, int], prefetcher, llc) -> None:
     )
 
 
-def _solve_shift(lanes, arrays, roles, groups, region_blocks, config, records_per_block):
+def _solve_shift(
+    kernel, lanes, arrays, roles, groups, region_blocks, config, records_per_block
+):
     """Solve a SHIFT run without touching any run object.
 
     Warm (chunk-resume) runs are handled by treating the restored shared
@@ -1826,10 +1845,6 @@ def _solve_shift(lanes, arrays, roles, groups, region_blocks, config, records_pe
     absolute positions ``base + k``.  Fresh state makes all of that empty
     and reduces to the original construction.
     """
-    offsets_table = _expand_offsets(region_blocks)
-    num_streams = config.stream_buffer.num_streams
-    lookahead = config.stream_buffer.lookahead_records
-    outstanding_cap = config.stream_buffer.capacity_records * region_blocks
     # Each group's append schedule comes from its trainer lane's compactor
     # record stream: the trainer feeds the compactor once per round-robin
     # step, so record k is appended at global step rec_step[k].  A group
@@ -1844,304 +1859,205 @@ def _solve_shift(lanes, arrays, roles, groups, region_blocks, config, records_pe
             group_records[role[0]] = _records_for(
                 arr, groups[role[0]].compactor, region_blocks
             )
-    group_bases = [group.history._next_pos for group in groups]
-    group_rings = [list(group.history._records) for group in groups]
-    group_latest = [dict(group.index._entries) for group in groups]
+    group_columns = [
+        _ShiftGroupColumns(records, group, region_blocks)
+        for records, group in zip(group_records, groups)
+    ]
     lane_solutions = []
     for lane, arr, role in zip(lanes, arrays, roles):
         if role is None:
             lane_solutions.append(None)
             continue
         group_index, engine, _is_trainer = role
-        group = groups[group_index]
-        rec_step, rec_trigger, rec_mask = group_records[group_index][:3]
-        delta = 0 if lane[0] >= group.trainer_core else 1
-        slot_of = {id(stream): slot for slot, stream in enumerate(engine._streams)}
         lane_solutions.append(
             _shift_lane_solve(
+                kernel,
                 arr,
-                rec_step,
-                rec_trigger,
-                rec_mask,
-                delta,
-                group.history._capacity,
-                offsets_table,
-                num_streams,
-                lookahead,
-                outstanding_cap,
+                group_columns[group_index],
+                0 if lane[0] >= groups[group_index].trainer_core else 1,
+                engine,
+                lane[3],
+                config.stream_buffer,
                 records_per_block,
-                lane[3]._capacity,
-                group_bases[group_index],
-                group_rings[group_index],
-                group_latest[group_index],
-                [
-                    (stream.next_pos, list(stream.outstanding), stream.last_llc_block)
-                    for stream in engine._streams
-                ],
-                [
-                    (block, slot_of[id(stream)])
-                    for block, stream in engine._owner.items()
-                ],
-                (engine.dispatches, engine.record_reads, engine.llc_block_reads),
-                list(lane[3]._blocks.items()),
-                lane[3].evicted_unused,
             )
         )
     group_states = [
         _ShiftGroupState(
-            base_pos, records[1], records[2], records[3], records[4]
+            columns.base_pos, records[1], records[2], records[3], records[4]
         )
-        for group, records, base_pos in zip(groups, group_records, group_bases)
+        for columns, records in zip(group_columns, group_records)
     ]
     return lane_solutions, group_states
 
 
+class _ShiftGroupColumns:
+    """One group's history view, packed as the lane kernel's ``group``
+    array (see :mod:`._shift_kernel`): the append schedule, then the
+    restored ring's populated slots."""
+
+    __slots__ = ("packed", "base_pos", "hist_cap")
+
+    def __init__(self, records, group, region_blocks: int) -> None:
+        history = group.history
+        self.base_pos = base_pos = history._next_pos
+        self.hist_cap = cap = history._capacity
+        # Every slot below base_pos (the last `cap` positions) is populated.
+        ring = history._records if base_pos >= cap else history._records[:base_pos]
+        rec_step, rec_trigger, rec_mask = records[:3]
+        total = len(rec_step)
+        self.packed = packed = _int64_packed(
+            chain(
+                (total, len(ring)), rec_step, rec_trigger, rec_mask, chain.from_iterable(ring)
+            ),
+            2 + 3 * total + 2 * len(ring),
+        )
+        # The kernel forms blocks as trigger + offset (offset < region_blocks)
+        # in int64 and reduces them modulo the set count.
+        for triggers in (packed[2 + total : 2 + 2 * total], packed[2 + 3 * total :: 2]):
+            if triggers.size and (
+                int(triggers.min()) < 0
+                or int(triggers.max()) > _INT64_MAX - region_blocks
+            ):
+                raise _Unsupported("block addresses outside [0, int64 max - region]")
+
+
+def _int64_packed(values, count: int) -> np.ndarray:
+    """``count`` ints as one int64 array; Python ints beyond int64 refuse."""
+    try:
+        return np.fromiter(values, dtype=np.int64, count=count)
+    except OverflowError:
+        raise _Unsupported("state values beyond int64 need the Python loops") from None
+
+
 def _shift_lane_solve(
+    kernel,
     arr: _LaneArrays,
-    rec_step,
-    rec_trigger,
-    rec_mask,
+    group: _ShiftGroupColumns,
     delta: int,
-    hist_cap: int,
-    offsets_table,
-    num_streams: int,
-    lookahead: int,
-    outstanding_cap: int,
+    engine,
+    buffer,
+    stream_config,
     records_per_llc_block: int,
-    buffer_cap: int,
-    base_pos: int,
-    init_ring,
-    init_latest,
-    init_streams,
-    init_owner,
-    init_counters,
-    init_buffer,
-    init_evicted: int,
 ) -> _ShiftLaneSolution:
-    """Event loop over one SHIFT lane against the precomputed append schedule.
+    """Event loop over one SHIFT lane against the precomputed append
+    schedule, run by the compiled kernel (:mod:`._shift_kernel`).
 
     The shared history is written only by the trainer lane, at the
-    precomputed steps ``rec_step`` — between appends it is frozen (an
-    epoch), so this lane's replay is independent of every other lane given
-    the schedule.  The append at trainer step ``t`` becomes visible to this
-    lane at step ``t`` when the lane runs at-or-after the trainer in the
-    round-robin core order (``delta == 0``) and at ``t + 1`` otherwise;
-    ``visible`` counts the visible *absolute* append positions and stands
-    in for the live ``history._next_pos``.  ``latest`` (last visible
-    append position per trigger) replaces ``IndexTable.get`` exactly:
-    SHIFT's index capacity equals the history capacity, so any
-    FIFO-evicted index entry already fails the validity window
-    ``visible - hist_cap <= pos < visible``.
+    schedule's steps — between appends it is frozen (an epoch), so this
+    lane's replay is independent of every other lane given the schedule.
+    The append at trainer step ``t`` becomes visible to this lane at step
+    ``t`` when the lane runs at-or-after the trainer in the round-robin
+    core order (``delta == 0``) and at ``t + 1`` otherwise; the count of
+    visible absolute append positions stands in for the live
+    ``history._next_pos``, and the last visible position per trigger
+    replaces ``IndexTable.get`` exactly: SHIFT's index capacity equals
+    the history capacity, so any FIFO-evicted index entry already fails
+    the validity window ``visible - hist_cap <= pos < visible``.
 
-    Warm resumes enter through ``base_pos`` (the restored ``next_pos``)
-    and the ``init_*`` snapshots: restored appends live at absolute
-    positions below ``base_pos`` and are read from ``init_ring`` (every
-    position inside the validity window is populated by construction);
-    this chunk's appends live at ``base_pos + k`` and are read from the
-    schedule arrays.  Nothing here mutates the live run objects — the
-    caller replays the returned solution.
+    Warm resumes enter through ``group.base_pos`` (the restored
+    ``next_pos``): restored appends live at absolute positions below it
+    and are read from the restored ring (every position inside the
+    validity window is populated by construction), this chunk's appends
+    at ``base_pos + k`` from the schedule.  The restored stream engine and
+    buffer are read, never written: the caller replays the returned
+    solution.
     """
-    streams: List[_Stream] = []
-    for next_pos, outstanding, last_llc_block in init_streams:
-        stream = _Stream(0)
-        stream.next_pos = next_pos
-        stream.outstanding = set(outstanding)
-        stream.last_llc_block = last_llc_block
-        streams.append(stream)
-    owner: Dict[int, _Stream] = {
-        block: streams[slot] for block, slot in init_owner
+    streams = engine._streams
+    owner = engine._owner
+    buffered = buffer._blocks
+    num_streams = stream_config.num_streams
+    if len(streams) > num_streams:
+        raise _Unsupported("more restored streams than stream buffers")
+    slot_of = {id(stream): slot for slot, stream in enumerate(streams)}
+    owner_slots = map(slot_of.__getitem__, map(id, owner.values()))
+    named = {
+        "delta": delta,
+        "hist_cap": group.hist_cap,
+        "num_streams": num_streams,
+        "lookahead": stream_config.lookahead_records,
+        "outstanding_cap": stream_config.capacity_records * engine._region_blocks,
+        "records_per_llc_block": records_per_llc_block,
+        "buffer_cap": buffer._capacity,
+        "base_pos": group.base_pos,
+        "dispatches": engine.dispatches,
+        "record_reads": engine.record_reads,
+        "llc_reads": engine.llc_block_reads,
+        "evicted": buffer.evicted_unused,
+        "n_streams": len(streams),
+        "n_owner": len(owner),
+        "n_buffer": len(buffered),
     }
-    owner_pop = owner.pop
-    latest: Dict[int, int] = dict(init_latest)
-    latest_get = latest.get
-    bmap: "OrderedDict[int, int]" = OrderedDict(init_buffer)
-    bpop = bmap.pop
-    bpopitem = bmap.popitem
-    blen = len(bmap)
-    num_sets = arr.num_sets
-    content_m, content_o = _initial_content(arr)
-    a_list = arr.a.tolist()
-    hit_list = arr.l1_hit.tolist()
-    other_list = arr.other_after.tolist()
-    set_list = arr.setidx.tolist()
-    total = len(rec_step)
-    appended = 0
-    visible = base_pos
-    next_vis = rec_step[0] + delta if total else -1
-    dispatches, record_reads, llc_reads = init_counters
-    demand_steps: List[int] = []
-    demand_addrs: List[int] = []
-    pf_steps: List[int] = []
-    pf_addrs: List[int] = []
-    add_dstep = demand_steps.append
-    add_daddr = demand_addrs.append
-    add_pstep = pf_steps.append
-    add_paddr = pf_addrs.append
-    ages: List[int] = []
-    add_age = ages.append
-    misses = 0
-    issued = 0
-    evicted = init_evicted
-    for step, address, hit in zip(range(arr.n), a_list, hit_list):
-        if step == next_vis:
-            while appended < total and rec_step[appended] + delta <= step:
-                latest[rec_trigger[appended]] = base_pos + appended
-                appended += 1
-            visible = base_pos + appended
-            next_vis = rec_step[appended] + delta if appended < total else -1
-        if hit:
-            is_miss = False
-        else:
-            issued_at = bpop(address, None)
-            if issued_at is not None:
-                blen -= 1
-                add_age(step - issued_at)
-                is_miss = False
-            else:
-                misses += 1
-                is_miss = True
-                add_dstep(step)
-                add_daddr(address)
-            set_index = set_list[step]
-            content_m[set_index] = address
-            content_o[set_index] = other_list[step]
-        if is_miss:
-            # StreamEngine.on_miss against the visible slice of the history.
-            stale = owner_pop(address, None)
-            if stale is not None:
-                stale.outstanding.discard(address)
-            pos = latest_get(address)
-            if pos is not None and pos >= visible - hist_cap:
-                stream = _Stream(pos)
-                if len(streams) >= num_streams:
-                    retired = streams.pop(0)
-                    for block in retired.outstanding:
-                        owner_pop(block, None)
-                    retired.outstanding.clear()
-                streams.append(stream)
-                dispatches += 1
-                blocks: List[int] = []
-                spos = pos
-                for _ in range(lookahead):
-                    if spos < 0 or spos >= visible or spos < visible - hist_cap:
-                        break
-                    if records_per_llc_block:
-                        llc_block = spos // records_per_llc_block
-                        if llc_block != stream.last_llc_block:
-                            stream.last_llc_block = llc_block
-                            llc_reads += 1
-                    spos += 1
-                    record_reads += 1
-                    if spos > base_pos:
-                        rec_t = rec_trigger[spos - 1 - base_pos]
-                        rec_m = rec_mask[spos - 1 - base_pos]
-                    else:
-                        rec_t, rec_m = init_ring[(spos - 1) % hist_cap]
-                    blocks.append(rec_t)
-                    for offset in offsets_table[rec_m]:
-                        blocks.append(rec_t + offset)
-                stream.next_pos = spos
-                outstanding = stream.outstanding
-                for block in blocks:
-                    if block not in owner:
-                        owner[block] = stream
-                        outstanding.add(block)
-                        if block != address:
-                            block_set = block % num_sets
-                            if (
-                                block != content_m[block_set]
-                                and block != content_o[block_set]
-                                and block not in bmap
-                            ):
-                                bmap[block] = step
-                                blen += 1
-                                issued += 1
-                                add_pstep(step)
-                                add_paddr(block)
-                                if blen > buffer_cap:
-                                    bpopitem(last=False)
-                                    blen -= 1
-                                    evicted += 1
-        else:
-            # StreamEngine.on_consume against the visible slice.
-            stream = owner_pop(address, None)
-            if stream is not None:
-                outstanding = stream.outstanding
-                outstanding.discard(address)
-                if len(outstanding) < outstanding_cap:
-                    spos = stream.next_pos
-                    if 0 <= spos < visible and spos >= visible - hist_cap:
-                        if records_per_llc_block:
-                            llc_block = spos // records_per_llc_block
-                            if llc_block != stream.last_llc_block:
-                                stream.last_llc_block = llc_block
-                                llc_reads += 1
-                        stream.next_pos = spos + 1
-                        record_reads += 1
-                        if spos >= base_pos:
-                            rec_t = rec_trigger[spos - base_pos]
-                            rec_m = rec_mask[spos - base_pos]
-                        else:
-                            rec_t, rec_m = init_ring[spos % hist_cap]
-                        if rec_t not in owner:
-                            owner[rec_t] = stream
-                            outstanding.add(rec_t)
-                            block_set = rec_t % num_sets
-                            if (
-                                rec_t != content_m[block_set]
-                                and rec_t != content_o[block_set]
-                                and rec_t not in bmap
-                            ):
-                                bmap[rec_t] = step
-                                blen += 1
-                                issued += 1
-                                add_pstep(step)
-                                add_paddr(rec_t)
-                                if blen > buffer_cap:
-                                    bpopitem(last=False)
-                                    blen -= 1
-                                    evicted += 1
-                        for offset in offsets_table[rec_m]:
-                            block = rec_t + offset
-                            if block not in owner:
-                                owner[block] = stream
-                                outstanding.add(block)
-                                block_set = block % num_sets
-                                if (
-                                    block != content_m[block_set]
-                                    and block != content_o[block_set]
-                                    and block not in bmap
-                                ):
-                                    bmap[block] = step
-                                    blen += 1
-                                    issued += 1
-                                    add_pstep(step)
-                                    add_paddr(block)
-                                    if blen > buffer_cap:
-                                        bpopitem(last=False)
-                                        blen -= 1
-                                        evicted += 1
+    scalars = [named[name] for name in _shift_kernel.STATE]
+    state = _int64_packed(
+        chain(
+            scalars,
+            map(attrgetter("next_pos"), streams),
+            map(attrgetter("last_llc_block"), streams),
+            owner,
+            owner_slots,
+            buffered,
+            buffered.values(),
+        ),
+        len(scalars) + 2 * (len(streams) + len(owner) + len(buffered)),
+    )
+    # The kernel keeps per-stream counts, not sets: restored state must
+    # hold the invariant that a stream's outstanding set is its owned blocks.
+    at = len(scalars) + 2 * len(streams) + len(owner)
+    owned = np.bincount(state[at : at + len(owner)], minlength=len(streams))
+    if owned.tolist() != [len(stream.outstanding) for stream in streams]:
+        raise _Unsupported("stream outstanding sets disagree with block owners")
+    if arr.warm:
+        init_m, init_o = arr.init_m, arr.init_o
+    else:
+        init_m = init_o = np.full(arr.num_sets, -1, dtype=np.int64)
+    # The kernel reads raw pointers: pin dtype and contiguity here.
+    a = np.ascontiguousarray(arr.a, dtype=np.int64)
+    hit = np.ascontiguousarray(arr.l1_hit, dtype=np.bool_).view(np.uint8)
+    other = np.ascontiguousarray(arr.other_after, dtype=np.int64)
+    setidx = np.ascontiguousarray(arr.setidx, dtype=np.int64)
+    n = a.size
+    lane_sizes = (hit.size, other.size, setidx.size, init_m.size, init_o.size)
+    if lane_sizes != (n, n, n, arr.num_sets, arr.num_sets):
+        raise ValueError("SHIFT lane kernel inputs disagree in length")
+    buffer_slots = max(buffer._capacity, len(buffered))
+    p_cap, owner_cap = n + 64, len(owner) + 1024
+    while True:
+        layout = _shift_kernel.out_layout(n, buffer_slots, num_streams, p_cap, owner_cap)
+        out = np.empty(layout["size"], dtype=np.int64)
+        rc = kernel(
+            a.ctypes.data, hit.ctypes.data, other.ctypes.data, setidx.ctypes.data, n,
+            init_m.ctypes.data, init_o.ctypes.data, arr.num_sets,
+            group.packed.ctypes.data, state.ctypes.data, out.ctypes.data,
+            p_cap, owner_cap,
+        )
+        counts = dict(zip(_shift_kernel.COUNTS, out[: len(_shift_kernel.COUNTS)].tolist()))
+        if rc == 0:
+            break
+        if rc < 0:
+            raise MemoryError("the SHIFT lane kernel ran out of memory")
+        # An output outgrew its first guess; the counts hold the exact sizes.
+        p_cap, owner_cap = counts["issued"], counts["n_owner"]
+
+    def region(name, size):
+        return out[layout[name] : layout[name] + size].copy()
+
+    misses, issued = counts["misses"], counts["issued"]
+    n_buffer, n_streams, n_owner = counts["n_buffer"], counts["n_streams"], counts["n_owner"]
     solution = _ShiftLaneSolution()
     solution.misses = misses
     solution.issued = issued
-    solution.evicted = evicted
-    solution.dispatches = dispatches
-    solution.record_reads = record_reads
-    solution.llc_reads = llc_reads
-    solution.ages = np.asarray(ages, dtype=np.int64)
-    solution.buffer_items = list(bmap.items())
-    slot_of = {id(stream): slot for slot, stream in enumerate(streams)}
-    solution.streams = [
-        (stream.next_pos, list(stream.outstanding), stream.last_llc_block)
-        for stream in streams
-    ]
-    solution.owner_items = [
-        (block, slot_of[id(stream)]) for block, stream in owner.items()
-    ]
-    solution.d_steps = np.asarray(demand_steps, dtype=np.int64)
-    solution.d_addrs = np.asarray(demand_addrs, dtype=np.int64)
-    solution.p_steps = np.asarray(pf_steps, dtype=np.int64)
-    solution.p_addrs = np.asarray(pf_addrs, dtype=np.int64)
+    solution.evicted = counts["evicted"]
+    solution.dispatches = counts["dispatches"]
+    solution.record_reads = counts["record_reads"]
+    solution.llc_reads = counts["llc_reads"]
+    solution.ages = region("ages", counts["n_ages"])
+    solution.d_steps = region("d_steps", misses)
+    solution.d_addrs = region("d_addrs", misses)
+    solution.p_steps = region("p_steps", issued)
+    solution.p_addrs = region("p_addrs", issued)
+    solution.buffer = (region("buffer_blocks", n_buffer), region("buffer_issued", n_buffer))
+    solution.streams = (region("stream_pos", n_streams), region("stream_llc", n_streams))
+    solution.owner = (region("owner_blocks", n_owner), region("owner_slots", n_owner))
     return solution
 
 
@@ -2171,21 +2087,22 @@ def _apply_shift_solution(
                 per_lane.append((stats, miss_steps, arr.a[miss_steps], None, None))
             continue
         _group_index, engine, _is_trainer = role
+        blocks, issued = solution.buffer
         buffer._blocks.clear()
-        buffer._blocks.update(solution.buffer_items)
+        buffer._blocks.update(zip(blocks.tolist(), issued.tolist()))
         buffer.evicted_unused = solution.evicted
-        streams = [_Stream(0) for _ in solution.streams]
-        for stream, (next_pos, outstanding, last_llc_block) in zip(
-            streams, solution.streams
-        ):
-            stream.next_pos = next_pos
-            stream.outstanding = set(outstanding)
-            stream.last_llc_block = last_llc_block
+        next_pos, last_llc_block = solution.streams
+        streams = [_Stream(pos) for pos in next_pos.tolist()]
+        for stream, llc_block in zip(streams, last_llc_block.tolist()):
+            stream.last_llc_block = llc_block
         engine._streams[:] = streams
-        engine._owner.clear()
-        engine._owner.update(
-            (block, streams[slot]) for block, slot in solution.owner_items
-        )
+        owner = engine._owner
+        owner.clear()
+        blocks, slots = solution.owner
+        for block, slot in zip(blocks.tolist(), slots.tolist()):
+            stream = streams[slot]
+            owner[block] = stream
+            stream.outstanding.add(block)
         engine.dispatches = solution.dispatches
         engine.record_reads = solution.record_reads
         engine.llc_block_reads = solution.llc_reads
@@ -2268,6 +2185,7 @@ class NumPyBackend(Backend):
 
     def __init__(self) -> None:
         self._python = PythonBackend()
+        self._shift_lane = _shift_kernel.load()
 
     def run(self, lanes, inflight: Dict[int, int], prefetcher, llc=None) -> None:
         ptype = type(prefetcher)
@@ -2284,53 +2202,11 @@ class NumPyBackend(Backend):
                 _run_pif(lanes, inflight, prefetcher, llc)
                 return
             elif ptype is SHIFTPrefetcher or ptype is ConsolidatedSHIFTPrefetcher:
-                _run_shift(lanes, inflight, prefetcher, llc)
+                _run_shift(self._shift_lane, lanes, inflight, prefetcher, llc)
                 return
         except _Unsupported:
             pass
         self._python.run(lanes, inflight, prefetcher, llc)
-
-    def prewarm(self, traces, l1_config) -> None:
-        """Precompute trace-pure per-lane arrays for upcoming windows.
-
-        The chunked engine calls this on a helper thread with chunk
-        ``k+1``'s trace windows while chunk ``k`` replays, overlapping the
-        fingerprint/argsort/forward-fill work with the event loops.  Only
-        the fresh (state-independent) arrays can be built ahead of time —
-        warm overlays need the not-yet-known chunk-``k`` final state, but
-        they are thin derivations on top of these.  Best-effort: anything
-        unsupported simply stays cold and is handled at run time.
-        """
-        for trace in traces:
-            try:
-                a, fingerprint = _trace_columns(trace)
-                key = (fingerprint, l1_config.num_sets, l1_config.associativity)
-                if _cache_get(_ARRAY_CACHE, key) is None:
-                    arrays = _LaneArrays(
-                        a, l1_config.num_sets, l1_config.associativity, fingerprint
-                    )
-                    _cache_put(_ARRAY_CACHE, _ARRAY_CACHE_MAX, key, arrays)
-            except _Unsupported:
-                continue
-
-    def prewarm_pending(self, traces, l1_config) -> bool:
-        """True when any window's base arrays are not yet memoized.
-
-        Fingerprinting a window is microseconds (one SHA-256 over the
-        column view) against the ~hundred-microsecond cost of spawning and
-        joining the prewarm thread, so the chunked engine probes this
-        before every boundary and skips the thread in the warm steady
-        state.
-        """
-        for trace in traces:
-            try:
-                _a, fingerprint = _trace_columns(trace)
-            except _Unsupported:
-                continue
-            key = (fingerprint, l1_config.num_sets, l1_config.associativity)
-            if _cache_get(_ARRAY_CACHE, key) is None:
-                return True
-        return False
 
 
 __all__ = ["NumPyBackend"]

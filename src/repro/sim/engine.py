@@ -31,7 +31,6 @@ L1 contents are part of the backend contract.
 from __future__ import annotations
 
 import json
-import threading
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -317,14 +316,10 @@ class SimulationEngine:
         each solver's starting point, and it materializes the final
         L1/buffer/LLC state the next chunk restores from (falling back to
         the exact Python loops per run where a structure is unsupported).
-        While chunk ``k`` replays, a helper thread prewarms the backend's
-        trace-pure memos for chunk ``k+1``'s windows
-        (:meth:`~repro.sim.backends.Backend.prewarm`), overlapping column
-        extraction with replay.  Reports are unaffected: backends are
-        pinned bit-identical to each other for every chunk geometry.
+        Reports are unaffected: backends are pinned bit-identical to each
+        other for every chunk geometry.
         """
         chunk_backend = self._backend
-        l1_config = self._system.l1i
         evicted_acc = {t.core_id: 0 for t in cores}
         boundary = 0
         for start in range(0, max_len, chunk_blocks):
@@ -343,24 +338,7 @@ class SimulationEngine:
                 )
                 for t in live
             ]
-            prewarmer = None
-            if stop < max_len:
-                next_stop = min(stop + chunk_blocks, max_len)
-                next_windows = [
-                    t.window(stop, next_stop)
-                    for t in cores
-                    if t.num_accesses > stop
-                ]
-                if chunk_backend.prewarm_pending(next_windows, l1_config):
-                    prewarmer = threading.Thread(
-                        target=chunk_backend.prewarm,
-                        args=(next_windows, l1_config),
-                        daemon=True,
-                    )
-                    prewarmer.start()
             chunk_backend.run(lanes, inflight, prefetcher, llc)
-            if prewarmer is not None:
-                prewarmer.join()
             for t in live:
                 core_id = t.core_id
                 delta = chunk_stats[core_id]

@@ -12,16 +12,34 @@ single-access lanes (epochs of length 0 and 1), and the parallel-worker
 path through the vectorized replay.  Each direct-simulation case asserts
 the numpy backend actually took the vectorized path (the solution memo is
 populated) so parity cannot silently come from the Python fallback.
+
+The compiled SHIFT lane kernel is pinned against the python backend on
+seeded random configurations (stream count, lookahead, buffer capacity,
+region width with dense masks, trainer core, consolidated groups, warm
+chunked resumes), comparing every counter, the LLC statistics, the
+prefetcher snapshot (owner insertion order included) and the prefetch
+buffers' FIFO order; the int64-headroom guard is checked to refuse
+before any write.
 """
 
+import dataclasses
 import random
 from dataclasses import asdict
 
 import pytest
 
-from repro.config import scaled_shift_config, scaled_system
+from repro.config import (
+    CacheConfig,
+    SHIFTConfig,
+    SpatialRegionConfig,
+    StreamBufferConfig,
+    scaled_shift_config,
+    scaled_system,
+)
 from repro.experiments import run_experiment
-from repro.sim import SimulationEngine
+from repro.sim import CoreResult, PrefetchBuffer, SetAssociativeCache, SimulationEngine
+from repro.sim import prefetchers
+from repro.sim.backends import get_backend
 from repro.sim.prefetchers import ConsolidatedSHIFTPrefetcher, SHIFTPrefetcher
 from repro.workloads.generator import generate_traces
 from repro.workloads.suite import WORKLOAD_NAMES, scaled_workload, workload_by_name
@@ -200,3 +218,213 @@ class TestShiftEpochSplitEdges:
         )
         assert serial_python.to_json() == serial_numpy.to_json()
         assert serial_python.to_json() == parallel_numpy.to_json()
+
+
+# ---------------------------------------------------------------------------
+# Compiled SHIFT lane kernel vs the python backend
+
+KERNEL_SEEDS = tuple(range(24))
+
+
+def _dense_traces(rng, num_cores, length, region):
+    """Per-core traces of recurring 'functions': runs of consecutive blocks
+    up to two regions long (dense masks), drawn from one shared pool so the
+    trainer's history predicts the other cores, plus scattered noise."""
+    pool = [
+        (rng.randrange(0, 40_000), rng.randint(1, 2 * region))
+        for _ in range(rng.randint(8, 40))
+    ]
+    traces = []
+    for core_id in range(num_cores):
+        addresses = []
+        while len(addresses) < length:
+            if rng.random() < 0.1:
+                addresses.append(rng.randrange(0, 60_000))
+                continue
+            base, run = pool[min(int(rng.expovariate(0.15)), len(pool) - 1)]
+            addresses.extend(range(base, base + run))
+        traces.append(CoreTrace(core_id, addresses[: rng.randint(length // 2, length)]))
+    return TraceSet(traces=traces)
+
+
+def _kernel_case(seed):
+    rng = random.Random(seed)
+    num_cores = rng.randint(1, 4)
+    region = rng.choice([2, 3, rng.randint(4, 61), 62])
+    config = SHIFTConfig(
+        history_entries=rng.choice([16, 64, 512]),
+        spatial_region=SpatialRegionConfig(region_blocks=region),
+        stream_buffer=StreamBufferConfig(
+            num_streams=rng.randint(1, 8),
+            capacity_records=rng.randint(1, 12),
+            lookahead_records=rng.randint(1, 16),
+        ),
+        virtualized=rng.random() < 0.7,
+        records_per_llc_block=rng.randint(1, 12),
+    )
+    system = scaled_system(num_cores=num_cores)
+    if rng.random() < 0.3:
+        l1 = system.l1i
+        system = dataclasses.replace(
+            system, l1i=CacheConfig(size_bytes=l1.size_bytes, associativity=1)
+        )
+    if num_cores > 1 and rng.random() < 0.4:
+        cut = rng.randint(1, num_cores - 1)
+        cores = rng.sample(range(num_cores), num_cores)
+        groups = [sorted(cores[:cut]), sorted(cores[cut:])]
+
+        def make():
+            return ConsolidatedSHIFTPrefetcher(groups=groups, config=config)
+
+    else:
+        trainer = rng.randrange(num_cores)
+
+        def make():
+            return SHIFTPrefetcher(num_cores, config=config, trainer_core=trainer)
+
+    trace_set = _dense_traces(rng, num_cores, rng.choice([300, 900, 1_500]), region)
+    chunk = rng.choice([None, rng.randint(1, 40), rng.randint(41, 700)])
+    return system, make, trace_set, rng.randint(1, 300), chunk
+
+
+def _drive(backend, system, prefetcher, trace_set, buffer_blocks, chunk):
+    """Run ``trace_set`` through ``backend`` in ``chunk``-step windows the
+    way the chunked engine does (fresh per-chunk stats, rebased buffer
+    timestamps, live state carried across) and return every observable."""
+    cores = sorted(trace_set.traces, key=lambda t: t.core_id)
+    caches = {t.core_id: SetAssociativeCache(system.l1i) for t in cores}
+    buffers = {t.core_id: PrefetchBuffer(buffer_blocks) for t in cores}
+    totals = {t.core_id: CoreResult(core_id=t.core_id) for t in cores}
+    evicted = {t.core_id: 0 for t in cores}
+    inflight = {t.core_id: 3 + t.core_id for t in cores}
+    llc = SimulationEngine(system, prefetcher=prefetcher)._build_llc(trace_set)
+    max_len = max(t.num_accesses for t in cores)
+    step = chunk or max_len
+    for start in range(0, max_len, step):
+        stop = min(start + step, max_len)
+        live = [t for t in cores if t.num_accesses > start]
+        stats = {t.core_id: CoreResult(core_id=t.core_id) for t in live}
+        for t in live:
+            buffers[t.core_id].evicted_unused = 0
+        lanes = [
+            (t.core_id, t.window(start, stop), caches[t.core_id],
+             buffers[t.core_id], stats[t.core_id])
+            for t in live
+        ]
+        backend.run(lanes, inflight, prefetcher, llc)
+        for t in live:
+            total, delta = totals[t.core_id], stats[t.core_id]
+            for name in ("demand_hits", "prefetch_hits", "late_hits", "misses",
+                         "prefetches_issued", "llc_hits", "memory_misses"):
+                setattr(total, name, getattr(total, name) + getattr(delta, name))
+            evicted[t.core_id] += buffers[t.core_id].evicted_unused
+        for buffer in buffers.values():
+            buffer.rebase_timestamps(stop - start)
+    return {
+        "cores": [asdict(totals[t.core_id]) for t in cores],
+        "llc": asdict(llc.stats()),
+        # Includes each stream engine's owner map in insertion order.
+        "prefetcher": prefetcher.snapshot(),
+        "buffers": [list(buffers[t.core_id]._blocks.items()) for t in cores],
+        "evicted": evicted,
+        "l1": [caches[t.core_id].snapshot() for t in cores],
+    }
+
+
+def _counting_numpy_backend():
+    """A NumPyBackend whose compiled lane kernel counts its calls."""
+    backend = numpy_backend.NumPyBackend()
+    kernel = backend._shift_lane
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return kernel(*args)
+
+    backend._shift_lane = counted
+    return backend, calls
+
+
+class _OffsetsOnDemand:
+    """The python loops' mask -> offsets table, entry by entry: at region
+    widths above ~20 blocks the full table (2**(R-1) entries) cannot be
+    built, so the reference computes each entry when asked instead."""
+
+    def __init__(self, region_blocks):
+        self._offsets = range(1, region_blocks)
+
+    def __getitem__(self, mask):
+        return tuple(offset for offset in self._offsets if mask >> (offset - 1) & 1)
+
+
+class TestShiftLaneKernelParity:
+    @pytest.mark.parametrize("seed", KERNEL_SEEDS)
+    def test_kernel_matches_python_backend(self, seed, monkeypatch):
+        system, make, trace_set, buffer_blocks, chunk = _kernel_case(seed)
+        region = make().config.spatial_region.region_blocks
+        if region > 16:
+            monkeypatch.setitem(
+                prefetchers._EXPAND_TABLES, region, _OffsetsOnDemand(region)
+            )
+        numpy_backend._SHIFT_CACHE.clear()
+        backend, calls = _counting_numpy_backend()
+        reference = _drive(
+            get_backend("python"), system, make(), trace_set, buffer_blocks, chunk
+        )
+        candidate = _drive(backend, system, make(), trace_set, buffer_blocks, chunk)
+        assert calls, "the numpy run never reached the compiled kernel"
+        assert candidate == reference
+
+    def test_int64_headroom_guard_refuses_before_any_write(self):
+        """Triggers within region_blocks of the int64 limit would overflow
+        trigger + offset in C: the solver refuses (after a warm first chunk,
+        so there is restored state to protect), nothing changes, and the
+        backend's exact Python fallback matches the python backend."""
+        top = 2**63 - 1
+        rng = random.Random(7)
+        traces = TraceSet(
+            traces=[
+                CoreTrace(core, [top - rng.randrange(0, 40) for _ in range(400)])
+                for core in range(2)
+            ]
+        )
+        system = scaled_system(num_cores=2)
+        config = scaled_shift_config(16, history_entries=256)
+
+        def observe(prefetcher, lanes, llc):
+            return (
+                prefetcher.state_key(),
+                [(lane[2].state_key(), lane[3].state_key(), asdict(lane[4]))
+                 for lane in lanes],
+                llc.snapshot(),
+            )
+
+        def lanes_for(caches, buffers, start, stop):
+            return [
+                (t.core_id, t.window(start, stop), caches[t.core_id],
+                 buffers[t.core_id], CoreResult(core_id=t.core_id))
+                for t in traces.traces
+            ]
+
+        prefetcher = SHIFTPrefetcher(2, config=config)
+        caches = {t.core_id: SetAssociativeCache(system.l1i) for t in traces.traces}
+        buffers = {t.core_id: PrefetchBuffer(64) for t in traces.traces}
+        llc = SimulationEngine(system, prefetcher=prefetcher)._build_llc(traces)
+        inflight = {0: 3, 1: 3}
+        get_backend("python").run(
+            lanes_for(caches, buffers, 0, 200), inflight, prefetcher, llc
+        )
+        lanes = lanes_for(caches, buffers, 200, 400)
+        before = observe(prefetcher, lanes, llc)
+        backend = numpy_backend.NumPyBackend()
+        with pytest.raises(numpy_backend._Unsupported, match="int64 max"):
+            numpy_backend._run_shift(
+                backend._shift_lane, lanes, inflight, prefetcher, llc
+            )
+        assert observe(prefetcher, lanes, llc) == before
+        assert _drive(
+            backend, system, SHIFTPrefetcher(2, config=config), traces, 64, 200
+        ) == _drive(
+            get_backend("python"), system, SHIFTPrefetcher(2, config=config),
+            traces, 64, 200,
+        )

@@ -3,8 +3,17 @@
 import copy
 import json
 
+import pytest
+
 from repro.bench import bench_experiment, bench_hotloop, check_against, write_bench_json
 from repro.experiments import format_report, run_experiment
+
+
+@pytest.fixture(scope="module")
+def quick_hotloop():
+    """One ``bench_hotloop(quick=True)`` run shared by the harness tests
+    (each run takes minutes; every test only reads the result)."""
+    return bench_hotloop(quick=True)
 
 
 class TestBenchHarness:
@@ -19,8 +28,8 @@ class TestBenchHarness:
         assert payload["baseline"]["name"] == "pr1-serial-legacy"
         assert "created" in payload and "python" in payload
 
-    def test_quick_hotloop_bench_covers_all_engines(self, tmp_path):
-        result = bench_hotloop(quick=True)
+    def test_quick_hotloop_bench_covers_all_engines(self, tmp_path, quick_hotloop):
+        result = quick_hotloop
         assert set(result["engines"]) == {"none", "next_line", "pif", "shift"}
         for data in result["engines"].values():
             assert data["legacy_seconds"] > 0
@@ -28,11 +37,9 @@ class TestBenchHarness:
         path = write_bench_json(result, tmp_path)
         assert path.name == "BENCH_hotloop.json"
 
-    def test_hotloop_records_backend_comparison_when_numpy_present(self):
-        import pytest
-
+    def test_hotloop_records_backend_comparison_when_numpy_present(self, quick_hotloop):
         pytest.importorskip("numpy")
-        result = bench_hotloop(quick=True)
+        result = quick_hotloop
         backend = result["backend"]
         assert backend["numpy_available"] is True
         assert backend["backends_match"] is True
@@ -41,8 +48,8 @@ class TestBenchHarness:
             assert data["numpy_seconds"] > 0
             assert data["numpy_speedup"] > 0
 
-    def test_hotloop_records_trace_generation_section(self):
-        result = bench_hotloop(quick=True)
+    def test_hotloop_records_trace_generation_section(self, quick_hotloop):
+        result = quick_hotloop
         generation = result["trace_generation"]
         assert set(generation["suite"]) == {"oltp_db2", "web_search"}
         for entry in generation["suite"].values():

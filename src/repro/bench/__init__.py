@@ -1,26 +1,18 @@
-"""Micro-benchmark harness: optimized hot loops vs. the frozen PR-1 engine.
+"""Micro-benchmark harness: the python backend against the numpy one.
 
-Two benchmarks, each emitting one ``BENCH_*.json`` file so performance
-becomes part of the repo's recorded trajectory:
-
-* ``experiment`` — wall clock of the default ``--system scaled --check``
-  experiment, serial, on the frozen PR-1 implementation
-  (:mod:`repro.sim._legacy`) versus the optimized cell-based driver, plus a
-  warm-trace-cache run.  The JSON records the speedups and asserts the two
-  implementations produced identical reports and that the paper ordering
-  holds.
-* ``hotloop`` — per-engine simulation time (none / next-line / PIF / SHIFT)
-  on a single workload trace: legacy versus optimized Python loops, and
-  ``python`` versus ``numpy`` backend (warm-cache, best-of-repeats),
-  isolating the :mod:`repro.sim._fastpath` / :mod:`repro.sim.backends`
-  gains from trace generation and driver overhead.  The result also
-  carries a ``trace_generation`` section (cold vectorized generation vs
-  warm memory-mapped cache loads per suite entry, plus the v2-pickle
-  old-vs-new load ratio), so trace production is part of the same
-  regression wall as replay, and a ``trace_scale`` section (peak chunked
-  simulation memory on 10x vs 100x traces plus exact chunked-vs-monolithic
-  report equality), so the out-of-core chunked-streaming bound of
-  ARCHITECTURE.md is part of it too.
+One benchmark, ``hotloop``, emits ``BENCH_hotloop.json`` so performance
+becomes part of the repo's recorded trajectory: per-engine simulation time
+(none / next-line / PIF / SHIFT) on a single workload trace, ``python``
+versus ``numpy`` backend (warm-cache, best-of-repeats), isolating the
+:mod:`repro.sim._fastpath` / :mod:`repro.sim.backends` gains from trace
+generation and driver overhead.  The result also carries a
+``trace_generation`` section (cold vectorized generation vs warm
+memory-mapped cache loads per suite entry, plus the v2-pickle old-vs-new
+load ratio), so trace production is part of the same regression wall as
+replay, and a ``trace_scale`` section (peak chunked simulation memory on
+10x vs 100x traces plus exact chunked-vs-monolithic report equality), so
+the out-of-core chunked-streaming bound of ARCHITECTURE.md is part of it
+too.
 
 :func:`check_against` is the CI bench-regression gate: it compares a fresh
 hotloop run's *speedup ratios* against the committed ``BENCH_hotloop.json``
@@ -37,18 +29,10 @@ import json
 import platform
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List
 
 from ..config import scaled_pif_config, scaled_shift_config
-from ..experiments import (
-    DEFAULT_ENGINES,
-    ExperimentReport,
-    ExperimentRow,
-    run_experiment,
-)
-from ..experiments import _outcome_for  # shared so reports are comparable
 from ..experiments.cells import system_for
-from ..sim import _legacy
 from ..workloads.generator import generate_traces
 from ..workloads.suite import WORKLOAD_NAMES, scaled_workload, workload_by_name
 
@@ -57,162 +41,6 @@ QUICK_WORKLOADS = ("oltp_db2", "web_search")
 
 #: Trace length per core for ``--quick`` (scaled default is 7500).
 QUICK_BLOCKS = 3000
-
-BENCHMARK_NAMES = ("experiment", "hotloop")
-
-
-def _legacy_experiment(
-    workloads: Sequence[str],
-    system: str = "scaled",
-    scale: int = 16,
-    seed: int = 0,
-    blocks_per_core: Optional[int] = None,
-) -> ExperimentReport:
-    """The PR-1 serial experiment: shared trace per workload, legacy loops."""
-    sys_config = system_for(system, scale)
-    effective_scale = sys_config.scale
-    pif_config = scaled_pif_config(effective_scale)
-    shift_config = scaled_shift_config(effective_scale)
-    report = ExperimentReport(system_name=system)
-    for name in workloads:
-        spec = scaled_workload(workload_by_name(name), effective_scale)
-        trace_set = generate_traces(spec, sys_config, seed=seed, blocks_per_core=blocks_per_core)
-        results = {}
-        for engine in DEFAULT_ENGINES:
-            kwargs = (
-                {"pif_config": pif_config}
-                if engine == "pif"
-                else {"shift_config": shift_config}
-                if engine == "shift"
-                else {}
-            )
-            results[engine] = _legacy.legacy_simulate(trace_set, sys_config, engine, **kwargs)
-        baseline = results["none"]
-        row = ExperimentRow(
-            workload=name,
-            baseline_mpki=baseline.mpki,
-            baseline_miss_ratio=baseline.miss_ratio,
-        )
-        for engine, result in results.items():
-            if engine == "none":
-                continue
-            row.outcomes[engine] = _outcome_for(engine, result, baseline, sys_config)
-        report.rows.append(row)
-    return report
-
-
-def _llc_independent_rows(report: ExperimentReport) -> List[Dict[str, object]]:
-    """Rows projected onto the metrics the frozen PR-1 engine can produce.
-
-    The PR-1 reference predates the shared-LLC model, so speedups (which now
-    charge classified memory misses and real history reads) and the LLC /
-    storage fields are not comparable; the miss-level counters — coverage,
-    MPKI, accuracy — must still match exactly.
-    """
-    return [
-        {
-            "workload": row.workload,
-            "baseline_mpki": row.baseline_mpki,
-            "baseline_miss_ratio": row.baseline_miss_ratio,
-            "outcomes": {
-                name: {
-                    "coverage": outcome.coverage,
-                    "mpki": outcome.mpki,
-                    "prefetch_accuracy": outcome.prefetch_accuracy,
-                }
-                for name, outcome in row.outcomes.items()
-            },
-        }
-        for row in report.rows
-    ]
-
-
-def bench_experiment(
-    quick: bool = False,
-    seed: int = 0,
-    repeats: int = 1,
-    trace_cache: "str | Path | None" = None,
-) -> Dict[str, object]:
-    """Time the default scaled experiment: PR-1 legacy vs. optimized."""
-    workloads = list(QUICK_WORKLOADS if quick else WORKLOAD_NAMES)
-    blocks = QUICK_BLOCKS if quick else None
-
-    legacy_seconds = []
-    legacy_report: Optional[ExperimentReport] = None
-    for _ in range(repeats):
-        started = time.perf_counter()
-        legacy_report = _legacy_experiment(workloads, seed=seed, blocks_per_core=blocks)
-        legacy_seconds.append(time.perf_counter() - started)
-
-    # The in-process trace memo would otherwise carry traces between
-    # repeats (and masquerade as the disk cache), so clear it before every
-    # timed run: each optimized repeat regenerates traces exactly like the
-    # legacy baseline, and the warm-cache variant really reads from disk.
-    from ..experiments import cells as _cells
-
-    optimized_seconds = []
-    optimized_report: Optional[ExperimentReport] = None
-    for _ in range(repeats):
-        _cells._TRACE_MEMO.clear()
-        started = time.perf_counter()
-        optimized_report = run_experiment(
-            workloads=workloads, seed=seed, blocks_per_core=blocks
-        )
-        optimized_seconds.append(time.perf_counter() - started)
-
-    cached_seconds: List[float] = []
-    if trace_cache is not None:
-        # Populate, then time the warm-cache run (the steady state of
-        # sweeps and repeated --check invocations).
-        run_experiment(
-            workloads=workloads, seed=seed, blocks_per_core=blocks, trace_cache=trace_cache
-        )
-        for _ in range(repeats):
-            _cells._TRACE_MEMO.clear()
-            started = time.perf_counter()
-            run_experiment(
-                workloads=workloads,
-                seed=seed,
-                blocks_per_core=blocks,
-                trace_cache=trace_cache,
-            )
-            cached_seconds.append(time.perf_counter() - started)
-
-    assert legacy_report is not None and optimized_report is not None
-    legacy_rows = _llc_independent_rows(legacy_report)
-    optimized_rows = _llc_independent_rows(optimized_report)
-    best_legacy = min(legacy_seconds)
-    best_optimized = min(optimized_seconds)
-    result: Dict[str, object] = {
-        "benchmark": "experiment",
-        "description": "default `python -m repro.experiments --system scaled --check` "
-        "workload, serial: frozen PR-1 engine vs optimized cell driver",
-        "config": {
-            "workloads": workloads,
-            "seed": seed,
-            "blocks_per_core": blocks,
-            "quick": quick,
-            "repeats": repeats,
-        },
-        "baseline": {"name": "pr1-serial-legacy", "seconds": round(best_legacy, 4)},
-        "optimized": {"name": "cell-driver-fastpath", "seconds": round(best_optimized, 4)},
-        "speedup": round(best_legacy / best_optimized, 3),
-        # Miss-level counters (coverage/MPKI/accuracy) must be identical;
-        # the optimized driver additionally models the shared LLC, which
-        # the frozen PR-1 engine cannot, so timing fields are not compared.
-        "results_match": legacy_rows == optimized_rows,
-        "compared_fields": ["coverage", "mpki", "prefetch_accuracy"],
-        "paper_ordering_holds": not optimized_report.check_paper_ordering(),
-    }
-    if cached_seconds:
-        best_cached = min(cached_seconds)
-        result["optimized_trace_cache"] = {
-            "name": "cell-driver-fastpath+trace-cache",
-            "seconds": round(best_cached, 4),
-        }
-        result["speedup_trace_cache"] = round(best_legacy / best_cached, 3)
-    return result
-
 
 def _bench_trace_generation(
     quick: bool, seed: int, repeats: int
@@ -448,8 +276,7 @@ def _bench_trace_scale(
 def bench_hotloop(
     quick: bool = False, seed: int = 0, repeats: int = 3, workload: str = "oltp_db2"
 ) -> Dict[str, object]:
-    """Per-engine simulation time on one trace: legacy vs. optimized loops,
-    plus the numpy-vs-python backend comparison.
+    """Per-engine simulation time on one trace, python vs. numpy backend.
 
     Backend timings are best-of-``repeats``: with ``repeats >= 2`` the
     numpy numbers are *warm-cache* throughput — the backend's trace-pure
@@ -473,7 +300,6 @@ def bench_hotloop(
         "shift": {"shift_config": shift_config},
     }
     engines: Dict[str, object] = {}
-    total_legacy = 0.0
     total_optimized = 0.0
     from dataclasses import asdict
     from functools import partial
@@ -484,10 +310,6 @@ def bench_hotloop(
     backends_match = True
     total_numpy = 0.0
     for engine, kwargs in engine_kwargs.items():
-        legacy_best = min(
-            _timed(partial(_legacy.legacy_simulate, trace_set, sys_config, engine, **kwargs))
-            for _ in range(repeats)
-        )
         python_runs = [
             _timed_result(
                 partial(simulate, trace_set, sys_config, engine, backend="python", **kwargs)
@@ -495,13 +317,8 @@ def bench_hotloop(
             for _ in range(repeats)
         ]
         optimized_best = min(seconds for seconds, _result in python_runs)
-        total_legacy += legacy_best
         total_optimized += optimized_best
-        engines[engine] = {
-            "legacy_seconds": round(legacy_best, 4),
-            "optimized_seconds": round(optimized_best, 4),
-            "speedup": round(legacy_best / optimized_best, 3),
-        }
+        engines[engine] = {"optimized_seconds": round(optimized_best, 4)}
         if numpy_available:
             # Warm numpy runs are 10-100x shorter than the python loops
             # they are compared against, so one scheduler-noise burst can
@@ -527,9 +344,8 @@ def bench_hotloop(
                 backends_match = False
     result: Dict[str, object] = {
         "benchmark": "hotloop",
-        "description": "per-engine simulation of one workload trace: frozen PR-1 "
-        "loops vs repro.sim._fastpath (which additionally models the shared LLC), "
-        "and python vs numpy backend (warm-cache, best-of-repeats)",
+        "description": "per-engine simulation of one workload trace: python "
+        "vs numpy backend (warm-cache, best-of-repeats)",
         "config": {
             "workload": workload,
             "seed": seed,
@@ -539,7 +355,6 @@ def bench_hotloop(
             "repeats": repeats,
         },
         "engines": engines,
-        "total_speedup": round(total_legacy / total_optimized, 3),
         "backend": {
             "numpy_available": numpy_available,
         },
@@ -620,15 +435,13 @@ def check_against(
     """Compare a fresh benchmark result against a committed baseline.
 
     Returns a list of regressions (empty = gate passes).  The gate
-    compares *speedup ratios* — the aggregate legacy-vs-optimized ratio
-    and the per-engine warm-cache numpy-vs-python ratios — rather than
-    absolute seconds, so it is portable across machines: a ratio that
-    drops more than ``tolerance`` below the committed value means the
-    optimized path (or the numpy backend) lost ground relative to the
-    same-machine reference it is measured against.  Ratios that do not
-    measure a real speedup are excluded as pure timing noise: per-engine
-    legacy-vs-optimized ratios hover near 1.0 (only their aggregate is
-    gated) and numpy ratios of Python-fallback engines sit below
+    compares *speedup ratios* — the per-engine warm-cache numpy-vs-python
+    ratios — rather than absolute seconds, so it is portable across
+    machines: a ratio that drops more than ``tolerance`` below the
+    committed value means the numpy backend lost ground relative to the
+    same-machine python reference it is measured against.  Ratios that do
+    not measure a real speedup are excluded as pure timing noise: numpy
+    ratios of Python-fallback engines sit below
     :data:`_GATE_MIN_BASELINE_SPEEDUP` in the baseline.  Engines listed
     in :data:`_GATE_ENGINE_MIN_SPEEDUP` additionally carry an *absolute*
     warm-speedup floor (SHIFT: 8x) that holds regardless of the committed
@@ -672,7 +485,6 @@ def check_against(
                 f"(floor {floor:.3f} at {tolerance:.0%} tolerance)"
             )
 
-    _check_ratio("total_speedup", current.get("total_speedup"), baseline.get("total_speedup"))
     baseline_backend = dict(baseline.get("backend", {}))
     current_backend = dict(current.get("backend", {}))
     if baseline_backend.get("numpy_available") and current_backend.get("numpy_available"):
@@ -772,11 +584,9 @@ def write_bench_json(result: Dict[str, object], out_dir: "str | Path" = ".") -> 
 
 
 __all__ = [
-    "BENCHMARK_NAMES",
     "QUICK_WORKLOADS",
     "QUICK_BLOCKS",
     "DEFAULT_REGRESSION_TOLERANCE",
-    "bench_experiment",
     "bench_hotloop",
     "check_against",
     "write_bench_json",

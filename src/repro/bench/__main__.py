@@ -9,9 +9,7 @@ from pathlib import Path
 
 from ..cli import add_options, envvar_epilog
 from . import (
-    BENCHMARK_NAMES,
     DEFAULT_REGRESSION_TOLERANCE,
-    bench_experiment,
     bench_hotloop,
     check_against,
     write_bench_json,
@@ -21,29 +19,21 @@ from . import (
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="python -m repro.bench",
-        description="Benchmark the optimized simulation against the frozen "
-        "PR-1 engine (and the numpy backend against the python one), record "
-        "BENCH_*.json trajectory files, and optionally gate against a "
-        "committed baseline.  With --trace-cache the experiment benchmark "
-        "additionally times a warm-cache pass.  The hotloop benchmark's "
-        "trace_scale section measures chunked streaming (--chunk-blocks) "
-        "peak memory against a monolithic run.",
+        description="Benchmark the numpy backend against the python one, "
+        "record BENCH_hotloop.json, and optionally gate against a committed "
+        "baseline.  The trace_scale section measures chunked streaming "
+        "(--chunk-blocks) peak memory against a monolithic run.",
         epilog=envvar_epilog(),
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
-    add_options(parser, "seed", "trace-cache")
+    add_options(parser, "seed")
     parser.add_argument(
         "--quick",
         action="store_true",
         help="CI-sized smoke run: 2 workloads, short traces, single repeat",
     )
     parser.add_argument(
-        "--benchmarks",
-        default=",".join(BENCHMARK_NAMES),
-        help=f"comma-separated subset of: {', '.join(BENCHMARK_NAMES)}",
-    )
-    parser.add_argument(
-        "--repeats", type=int, default=None, help="timing repeats (best-of); default 1/3"
+        "--repeats", type=int, default=3, help="timing repeats (best-of); default 3"
     )
     parser.add_argument("--out", default=".", metavar="DIR", help="output directory")
     parser.add_argument(
@@ -66,14 +56,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    selected = [name.strip() for name in args.benchmarks.split(",") if name.strip()]
-    unknown = [name for name in selected if name not in BENCHMARK_NAMES]
-    if unknown:
-        print(f"error: unknown benchmarks {unknown}; known: {BENCHMARK_NAMES}", file=sys.stderr)
-        return 2
-    if args.check_against and "hotloop" not in selected:
-        print("error: --check-against needs the hotloop benchmark selected", file=sys.stderr)
-        return 2
     baseline = None
     if args.check_against:
         # Read the baseline before any (multi-minute) timing runs so a bad
@@ -89,65 +71,47 @@ def main(argv=None) -> int:
                 file=sys.stderr,
             )
             return 2
+    result = bench_hotloop(quick=args.quick, seed=args.seed, repeats=args.repeats)
     status = 0
-    for name in selected:
-        if name == "experiment":
-            result = bench_experiment(
-                quick=args.quick,
-                seed=args.seed,
-                repeats=args.repeats or 1,
-                trace_cache=args.trace_cache,
-            )
-            headline = (
-                f"experiment: {result['baseline']['seconds']}s legacy -> "
-                f"{result['optimized']['seconds']}s optimized "
-                f"({result['speedup']}x), results_match={result['results_match']}"
-            )
-            if not result["results_match"] or not result["paper_ordering_holds"]:
-                status = 1
+    per_engine = ", ".join(
+        f"{engine}={data['optimized_seconds']}s" for engine, data in result["engines"].items()
+    )
+    headline = f"hotloop: python {per_engine}"
+    backend = result.get("backend", {})
+    if backend.get("numpy_available"):
+        per_backend = ", ".join(
+            f"{engine}={data.get('numpy_speedup', '-')}x"
+            for engine, data in result["engines"].items()
+        )
+        headline += (
+            f"\n  numpy backend: total {backend['total_numpy_speedup']}x "
+            f"({per_backend}), backends_match={backend['backends_match']}"
+        )
+        if not backend["backends_match"]:
+            status = 1
+    generation = result.get("trace_generation")
+    if generation:
+        headline += (
+            f"\n  trace generation: {generation['cold_seconds']}s cold -> "
+            f"{generation['warm_seconds']}s warm mmap loads "
+            f"({generation['warm_speedup']}x; pickle-vs-binary load "
+            f"{generation['old_vs_new_load_ratio']}x)"
+        )
+    if baseline is not None:
+        violations = check_against(result, baseline, tolerance=args.regression_tolerance)
+        if violations:
+            status = 1
+            print("bench-regression gate FAILED:", file=sys.stderr)
+            for violation in violations:
+                print(f"  - {violation}", file=sys.stderr)
         else:
-            result = bench_hotloop(quick=args.quick, seed=args.seed, repeats=args.repeats or 3)
-            per_engine = ", ".join(
-                f"{engine}={data['speedup']}x" for engine, data in result["engines"].items()
+            print(
+                f"bench-regression gate passed vs {args.check_against} "
+                f"(tolerance {args.regression_tolerance:.0%})"
             )
-            headline = f"hotloop: total {result['total_speedup']}x ({per_engine})"
-            backend = result.get("backend", {})
-            if backend.get("numpy_available"):
-                per_backend = ", ".join(
-                    f"{engine}={data.get('numpy_speedup', '-')}x"
-                    for engine, data in result["engines"].items()
-                )
-                headline += (
-                    f"\n  numpy backend: total {backend['total_numpy_speedup']}x "
-                    f"({per_backend}), backends_match={backend['backends_match']}"
-                )
-                if not backend["backends_match"]:
-                    status = 1
-            generation = result.get("trace_generation")
-            if generation:
-                headline += (
-                    f"\n  trace generation: {generation['cold_seconds']}s cold -> "
-                    f"{generation['warm_seconds']}s warm mmap loads "
-                    f"({generation['warm_speedup']}x; pickle-vs-binary load "
-                    f"{generation['old_vs_new_load_ratio']}x)"
-                )
-            if baseline is not None:
-                violations = check_against(
-                    result, baseline, tolerance=args.regression_tolerance
-                )
-                if violations:
-                    status = 1
-                    print("bench-regression gate FAILED:", file=sys.stderr)
-                    for violation in violations:
-                        print(f"  - {violation}", file=sys.stderr)
-                else:
-                    print(
-                        f"bench-regression gate passed vs {args.check_against} "
-                        f"(tolerance {args.regression_tolerance:.0%})"
-                    )
-        path = write_bench_json(result, args.out)
-        print(headline)
-        print(f"  -> {path}")
+    path = write_bench_json(result, args.out)
+    print(headline)
+    print(f"  -> {path}")
     return status
 
 

@@ -90,14 +90,6 @@ CHUNK_BLOCKS = EnvVar(
     "byte-identical for every chunk geometry, see ARCHITECTURE.md)",
 )
 
-NUMPY_MEMO_MAX = EnvVar(
-    "REPRO_NUMPY_MEMO_MAX",
-    "unset (per-cache defaults)",
-    "LRU entry cap applied to every numpy-backend cross-run memo cache "
-    "(chunked runs mint one window fingerprint per chunk, so long streams "
-    "would otherwise grow the memos without bound)",
-)
-
 #: Every declared variable, in documentation order.
 REGISTRY: Tuple[EnvVar, ...] = (
     WORKERS,
@@ -107,7 +99,6 @@ REGISTRY: Tuple[EnvVar, ...] = (
     RESULT_CACHE_MAX_BYTES,
     SERVE_RETAINED_JOBS,
     CHUNK_BLOCKS,
-    NUMPY_MEMO_MAX,
 )
 
 
@@ -139,7 +130,6 @@ __all__ = [
     "RESULT_CACHE_MAX_BYTES",
     "SERVE_RETAINED_JOBS",
     "CHUNK_BLOCKS",
-    "NUMPY_MEMO_MAX",
     "by_name",
     "help_text",
 ]

@@ -11,32 +11,31 @@ locals:
 
 * :func:`run_baseline` — no prefetcher: a pure cache hit/miss loop;
 * :func:`run_next_line` — the tagged next-N-line engine, fully inlined;
-* :func:`run_stream_per_core` — PIF; per-core state means cores can be
-  simulated sequentially with *identical* results to the round-robin order
-  (core ``c``'s ``k``-th access always happens at global step ``k``);
-* :func:`run_stream_shared` — SHIFT and consolidated SHIFT; cores share the
-  history, so the round-robin interleaving is semantically load-bearing.
-  Each lane runs as a generator, keeping its hot state in locals across
-  steps, and the driver resumes them round-robin.
+* :func:`run_stream_shared` — the stream engines: PIF, SHIFT and
+  consolidated SHIFT.  They differ only in who owns a history (see
+  ``history_groups()``): PIF gives every core a private one, so each core
+  is a group of one and its own trainer; SHIFT shares one history per
+  group that a single trainer core writes.  Each lane runs as a generator,
+  keeping its hot state in locals across steps, and the driver resumes
+  them round-robin, so shared histories see exactly the generic loop's
+  interleaving.
 
-Shared-LLC modelling and per-core loops: the LLC's LRU state is shared by
-all cores, so the order in which L1 misses and prefetch fetches reach it is
-semantically load-bearing even for engines whose *prefetcher* state is
-per-core.  The per-core loops therefore record their LLC requests as
+Shared-LLC modelling: the LLC's LRU state is shared by all cores, so the
+order in which L1 misses and prefetch fetches reach it is semantically
+load-bearing even for engines whose *prefetcher* state is per-core.  The
+per-core loops (baseline, next-line) therefore record their LLC requests as
 ``(step, address, is_demand)`` events and :func:`_replay_llc` replays the
 merged streams in exactly the round-robin order of the generic loop
 (step-major, lanes in core-id order, a miss's demand classification before
 the prefetches it triggers).  L1 and prefetcher behaviour is unaffected —
-the LLC sits below the L1s and only classifies misses — so the per-core
-reordering argument for those structures still holds.  The SHIFT lanes
+the LLC sits below the L1s and only classifies misses.  The stream lanes
 already run round-robin and access the LLC inline.
 
-Every loop is behaviour-pinned to the public-API implementations: the
-regression tests assert exact equality of all per-core counters against both
-the generic loop and the frozen PR-1 reference in :mod:`repro.sim._legacy`
-(which predates the LLC model, so the two classification counters are pinned
-against the generic loop instead).  Any semantic change here that is not
-mirrored there is a bug.
+Every loop is behaviour-pinned to the generic round-robin loop
+(:meth:`~repro.sim.engine.SimulationEngine._run_round_robin`), which drives
+the public prefetcher APIs: the regression tests assert exact equality of
+all per-core counters and the LLC statistics.  Any semantic change here
+that is not mirrored there is a bug.
 
 These loops are the ``python`` backend of :mod:`repro.sim.backends` — the
 reference implementation every other backend (e.g. the vectorized
@@ -258,219 +257,6 @@ def run_next_line(
     _replay_llc(llc, per_lane)
 
 
-def run_stream_per_core(
-    lanes: List[Lane],
-    inflight: Dict[int, int],
-    prefetcher: PIFPrefetcher,
-    llc: "SharedLLC | None" = None,
-) -> None:
-    """PIF loop: private compactor/history/index/streams, fully inlined."""
-    config = prefetcher._config
-    region_blocks = config.spatial_region.region_blocks
-    offsets_table = _expand_offsets(region_blocks)
-    num_streams = config.stream_buffer.num_streams
-    lookahead = config.stream_buffer.lookahead_records
-    outstanding_cap = config.stream_buffer.capacity_records * region_blocks
-    per_lane: List[Tuple["CoreResult", List[LLCEvent]]] = []
-    for core_id, addresses, cache, buffer, stats in lanes:
-        addresses = address_list(addresses)
-        engine = prefetcher._streams[core_id]
-        history = prefetcher._histories[core_id]
-        index = prefetcher._indices[core_id]
-        compactor = prefetcher._compactors[core_id]
-        records = history._records
-        hist_cap = history._capacity
-        next_pos = history._next_pos
-        index_entries = index._entries
-        index_capacity = index._capacity
-        index_get = index_entries.get
-        index_move_to_end = index_entries.move_to_end
-        index_popitem = index_entries.popitem
-        streams = engine._streams
-        owner = engine._owner
-        owner_pop = owner.pop
-        dispatches = engine.dispatches
-        record_reads = engine.record_reads
-        sets = cache._sets
-        num_sets = cache._num_sets
-        assoc = cache._associativity
-        bmap = buffer._blocks
-        bcap = buffer._capacity
-        bpop = bmap.pop
-        bpopitem = bmap.popitem
-        blen = len(bmap)
-        inflight_c = inflight[core_id]
-        trigger = compactor._trigger
-        mask = compactor._mask
-        events: List[LLCEvent] = []
-        record_llc = events.append
-        track_llc = llc is not None
-        demand_hits = prefetch_hits = late_hits = misses = 0
-        issued = evicted = 0
-        step = 0
-        for address in addresses:
-            # Spatial compaction (SpatialCompactor.feed, inlined).
-            if trigger is None:
-                trigger = address
-                mask = 0
-            else:
-                offset = address - trigger
-                if 0 <= offset < region_blocks:
-                    if offset:
-                        mask |= 1 << (offset - 1)
-                else:
-                    # Region closed: append to the history (HistoryBuffer.
-                    # append) and index the trigger (IndexTable.put).
-                    records[next_pos % hist_cap] = (trigger, mask)
-                    if trigger in index_entries:
-                        index_entries[trigger] = next_pos
-                        index_move_to_end(trigger)
-                    else:
-                        index_entries[trigger] = next_pos
-                        if len(index_entries) > index_capacity:
-                            index_popitem(last=False)
-                    next_pos += 1
-                    trigger = address
-                    mask = 0
-            # L1-I access (SetAssociativeCache.access / .insert, inlined).
-            lines = sets[address % num_sets]
-            if address in lines:
-                if lines[0] != address:
-                    lines.remove(address)
-                    lines.insert(0, address)
-                demand_hits += 1
-                is_miss = False
-            else:
-                issued_at = bpop(address, None)
-                if issued_at is not None:
-                    blen -= 1
-                    if step - issued_at >= inflight_c:
-                        prefetch_hits += 1
-                    else:
-                        late_hits += 1
-                    is_miss = False
-                else:
-                    misses += 1
-                    is_miss = True
-                    if track_llc:
-                        record_llc((step, address, True))
-                lines.insert(0, address)
-                if len(lines) > assoc:
-                    lines.pop()
-            if is_miss:
-                # StreamEngine.on_miss, inlined.
-                stale = owner_pop(address, None)
-                if stale is not None:
-                    stale.outstanding.discard(address)
-                pos = index_get(address)
-                if pos is not None and 0 <= pos < next_pos and pos >= next_pos - hist_cap:
-                    stream = _Stream(pos)
-                    if len(streams) >= num_streams:
-                        retired = streams.pop(0)
-                        for block in retired.outstanding:
-                            owner_pop(block, None)
-                        retired.outstanding.clear()
-                    streams.append(stream)
-                    dispatches += 1
-                    blocks: List[int] = []
-                    spos = pos
-                    for _ in range(lookahead):
-                        if spos < 0 or spos >= next_pos or spos < next_pos - hist_cap:
-                            break
-                        record = records[spos % hist_cap]
-                        if record is None:
-                            break
-                        spos += 1
-                        record_reads += 1
-                        rec_trigger, rec_mask = record
-                        blocks.append(rec_trigger)
-                        for offset in offsets_table[rec_mask]:
-                            blocks.append(rec_trigger + offset)
-                    stream.next_pos = spos
-                    outstanding = stream.outstanding
-                    for block in blocks:
-                        if block not in owner:
-                            owner[block] = stream
-                            outstanding.add(block)
-                            if (
-                                block != address
-                                and block not in sets[block % num_sets]
-                                and block not in bmap
-                            ):
-                                bmap[block] = step
-                                blen += 1
-                                issued += 1
-                                if track_llc:
-                                    record_llc((step, block, False))
-                                if blen > bcap:
-                                    bpopitem(last=False)
-                                    blen -= 1
-                                    evicted += 1
-            else:
-                # StreamEngine.on_consume, inlined.
-                stream = owner_pop(address, None)
-                if stream is not None:
-                    outstanding = stream.outstanding
-                    outstanding.discard(address)
-                    if len(outstanding) < outstanding_cap:
-                        spos = stream.next_pos
-                        if 0 <= spos < next_pos and spos >= next_pos - hist_cap:
-                            record = records[spos % hist_cap]
-                            if record is not None:
-                                stream.next_pos = spos + 1
-                                record_reads += 1
-                                rec_trigger, rec_mask = record
-                                if rec_trigger not in owner:
-                                    owner[rec_trigger] = stream
-                                    outstanding.add(rec_trigger)
-                                    if (
-                                        rec_trigger not in sets[rec_trigger % num_sets]
-                                        and rec_trigger not in bmap
-                                    ):
-                                        bmap[rec_trigger] = step
-                                        blen += 1
-                                        issued += 1
-                                        if track_llc:
-                                            record_llc((step, rec_trigger, False))
-                                        if blen > bcap:
-                                            bpopitem(last=False)
-                                            blen -= 1
-                                            evicted += 1
-                                for offset in offsets_table[rec_mask]:
-                                    block = rec_trigger + offset
-                                    if block not in owner:
-                                        owner[block] = stream
-                                        outstanding.add(block)
-                                        if (
-                                            block not in sets[block % num_sets]
-                                            and block not in bmap
-                                        ):
-                                            bmap[block] = step
-                                            blen += 1
-                                            issued += 1
-                                            if track_llc:
-                                                record_llc((step, block, False))
-                                            if blen > bcap:
-                                                bpopitem(last=False)
-                                                blen -= 1
-                                                evicted += 1
-            step += 1
-        # Write the hoisted state back to the owning objects.
-        stats.demand_hits = demand_hits
-        stats.prefetch_hits = prefetch_hits
-        stats.late_hits = late_hits
-        stats.misses = misses
-        stats.prefetches_issued = issued
-        buffer.evicted_unused = evicted
-        history._next_pos = next_pos
-        compactor._trigger = trigger
-        compactor._mask = mask
-        engine.dispatches = dispatches
-        engine.record_reads = record_reads
-        per_lane.append((stats, events))
-    _replay_llc(llc, per_lane)
-
-
 def _passive_lane(
     addresses: List[int],
     cache: SetAssociativeCache,
@@ -527,13 +313,14 @@ def _stream_lane(
     inflight_c: int,
     llc: "SharedLLC | None" = None,
 ) -> Iterator[None]:
-    """One core of a shared-history engine, resumed round-robin per access.
+    """One core of a stream engine, resumed round-robin per access.
 
-    The generator keeps all per-core state in frame locals; only the shared
+    The generator keeps all per-core state in frame locals; only the
     history/index state is read through the owning objects, because the
-    trainer lane mutates it between this lane's resumptions.  The shared
-    LLC is accessed inline — these lanes already run in the round-robin
-    order that defines the LLC's semantics.
+    group's trainer lane (for PIF, this lane itself) mutates it between
+    this lane's resumptions.  The shared LLC is accessed inline — these
+    lanes already run in the round-robin order that defines the LLC's
+    semantics.
     """
     offsets_table = _expand_offsets(region_blocks)
     llc_demand = llc.access_demand if llc is not None else None
@@ -776,10 +563,11 @@ def resolve_stream_roles(lanes: List[Lane], prefetcher):
 def run_stream_shared(
     lanes: List[Lane],
     inflight: Dict[int, int],
-    prefetcher: "SHIFTPrefetcher | ConsolidatedSHIFTPrefetcher",
+    prefetcher: "PIFPrefetcher | SHIFTPrefetcher | ConsolidatedSHIFTPrefetcher",
     llc: "SharedLLC | None" = None,
 ) -> None:
-    """SHIFT loop: lanes advance round-robin, one access per core per step."""
+    """Stream-engine loop: lanes advance round-robin, one access per core
+    per step, each replaying its history group (PIF: its own)."""
     config = prefetcher._config
     region_blocks = config.spatial_region.region_blocks
     num_streams = config.stream_buffer.num_streams
@@ -843,83 +631,9 @@ def run_stream_shared(
         active = alive
 
 
-def run_per_core_generic(
-    lanes: List[Lane], inflight: Dict[int, int], prefetcher, llc: "SharedLLC | None" = None
-) -> None:
-    """Sequential per-core loop for state-private engines (`shares_state`
-    False) that have no fully inlined specialization: cache and buffer are
-    inlined, the prefetcher keeps its public ``on_access`` call."""
-    on_access = prefetcher.on_access
-    per_lane: List[Tuple["CoreResult", List[LLCEvent]]] = []
-    for core_id, addresses, cache, buffer, stats in lanes:
-        addresses = address_list(addresses)
-        sets = cache._sets
-        num_sets = cache._num_sets
-        assoc = cache._associativity
-        bmap = buffer._blocks
-        bcap = buffer._capacity
-        bpop = bmap.pop
-        bpopitem = bmap.popitem
-        blen = len(bmap)
-        inflight_c = inflight[core_id]
-        events: List[LLCEvent] = []
-        record = events.append
-        track_llc = llc is not None
-        demand_hits = prefetch_hits = late_hits = misses = 0
-        issued = evicted = 0
-        step = 0
-        for address in addresses:
-            lines = sets[address % num_sets]
-            if address in lines:
-                if lines[0] != address:
-                    lines.remove(address)
-                    lines.insert(0, address)
-                demand_hits += 1
-                outcome = 0
-            else:
-                issued_at = bpop(address, None)
-                if issued_at is not None:
-                    blen -= 1
-                    if step - issued_at >= inflight_c:
-                        prefetch_hits += 1
-                    else:
-                        late_hits += 1
-                    outcome = 2
-                else:
-                    misses += 1
-                    outcome = 1
-                    if track_llc:
-                        record((step, address, True))
-                lines.insert(0, address)
-                if len(lines) > assoc:
-                    lines.pop()
-            for block in on_access(core_id, address, outcome):
-                if block not in sets[block % num_sets] and block not in bmap:
-                    bmap[block] = step
-                    blen += 1
-                    issued += 1
-                    if track_llc:
-                        record((step, block, False))
-                    if blen > bcap:
-                        bpopitem(last=False)
-                        blen -= 1
-                        evicted += 1
-            step += 1
-        stats.demand_hits = demand_hits
-        stats.prefetch_hits = prefetch_hits
-        stats.late_hits = late_hits
-        stats.misses = misses
-        stats.prefetches_issued = issued
-        buffer.evicted_unused = evicted
-        per_lane.append((stats, events))
-    _replay_llc(llc, per_lane)
-
-
 __all__ = [
     "address_list",
     "run_baseline",
     "run_next_line",
-    "run_stream_per_core",
     "run_stream_shared",
-    "run_per_core_generic",
 ]

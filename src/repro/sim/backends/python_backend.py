@@ -2,9 +2,9 @@
 
 This backend is the reference implementation every other backend is pinned
 against.  It dispatches on the exact prefetcher type — subclasses may
-override ``on_access`` and must fall through to the per-core or round-robin
-generic loops — and otherwise runs the inlined per-family loops that
-PR 2/3 tuned.
+override ``on_access`` and must fall through to the generic round-robin
+loop — and otherwise runs the inlined per-family loops.  PIF and both SHIFT
+variants share one stream loop: they differ only in their history groups.
 """
 
 from __future__ import annotations
@@ -23,8 +23,12 @@ from ..prefetchers import (
 from .base import Backend
 
 
+#: The stream engines, which all run on :func:`_fastpath.run_stream_shared`.
+_STREAM_TYPES = (PIFPrefetcher, SHIFTPrefetcher, ConsolidatedSHIFTPrefetcher)
+
+
 class PythonBackend(Backend):
-    """Per-family inlined CPython loops (the PR-2/3 fast paths)."""
+    """Per-family inlined CPython loops."""
 
     name = "python"
 
@@ -34,12 +38,8 @@ class PythonBackend(Backend):
             _fastpath.run_baseline(lanes, llc)
         elif ptype is NextLinePrefetcher:
             _fastpath.run_next_line(lanes, inflight, prefetcher._degree, llc)
-        elif ptype is PIFPrefetcher:
-            _fastpath.run_stream_per_core(lanes, inflight, prefetcher, llc)
-        elif ptype is SHIFTPrefetcher or ptype is ConsolidatedSHIFTPrefetcher:
+        elif ptype in _STREAM_TYPES:
             _fastpath.run_stream_shared(lanes, inflight, prefetcher, llc)
-        elif not getattr(prefetcher, "shares_state", True):
-            _fastpath.run_per_core_generic(lanes, inflight, prefetcher, llc)
         else:
             # The generic loop lives on the engine because it *defines* the
             # round-robin semantics; imported lazily to avoid the module

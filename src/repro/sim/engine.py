@@ -6,31 +6,25 @@ the consumers — a sequential per-core loop would let the trainer finish its
 whole trace before any other core issues a lookup, which is both unrealistic
 and unfairly favourable.
 
-For engines whose state is entirely per-core (the baseline, next-line and
-PIF) the interleaving is unobservable: core ``c``'s ``k``-th access always
-happens at global step ``k`` whichever order lanes are visited.  How the
-replay is *executed* is delegated to a :class:`~repro.sim.backends.Backend`
-(``backend=`` / ``--backend`` / ``REPRO_BACKEND``): the ``python`` backend
-runs the sequential per-core loops of :mod:`repro.sim._fastpath` with the
-cache, buffer and stream operations inlined, the ``numpy`` backend replaces
-them with array passes where the structure allows.  Shared-history engines
-(SHIFT) keep the round-robin order via per-lane generators on every
-backend.  Results are bit-identical across all paths; the regression tests
-pin them to the frozen PR-1 loop in :mod:`repro.sim._legacy` and the
-backends to each other.
+How the replay is *executed* is delegated to a
+:class:`~repro.sim.backends.Backend` (``backend=`` / ``--backend`` /
+``REPRO_BACKEND``): the ``python`` backend runs the specialized loops of
+:mod:`repro.sim._fastpath` with the cache, buffer and stream operations
+inlined, the ``numpy`` backend replaces them with array passes where the
+structure allows.  Results are bit-identical across all paths; the
+regression tests pin every fast path to the generic loop
+(:meth:`SimulationEngine._run_round_robin`) and the backends to each other.
 
 Backends must leave the :class:`CoreResult` counters, the prefetch-buffer
 contents, the prefetcher's mutable state, the LLC *and the L1 cache
 objects* exactly as the reference loop would: the chunked engine
 (:meth:`SimulationEngine._run_chunked`) carries all of them across every
-window boundary — snapshotting and restoring through JSON at exponentially
-spaced boundaries — and resumes the next window from that state, so final
-L1 contents are part of the backend contract.
+window boundary and resumes the next window from that state, so final L1
+contents are part of the backend contract.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
@@ -69,7 +63,7 @@ class CoreResult:
     When the shared LLC is modelled, every demand miss is classified:
     ``llc_hits`` were served by the LLC, ``memory_misses`` went to main
     memory (``llc_hits + memory_misses == misses``).  Runs without an LLC
-    model (``model_llc=False``, the frozen PR-1 reference) leave both at 0.
+    model (``model_llc=False``) leave both at 0.
     """
 
     core_id: int
@@ -248,7 +242,7 @@ class SimulationEngine:
         if chunk_blocks is None or chunk_blocks >= max_len:
             self._backend.run(lanes, inflight, prefetcher, llc)
         else:
-            llc = self._run_chunked(
+            self._run_chunked(
                 cores, caches, buffers, results, inflight, prefetcher, llc,
                 chunk_blocks, max_len,
             )
@@ -281,24 +275,18 @@ class SimulationEngine:
         llc: Optional[SharedLLC],
         chunk_blocks: int,
         max_len: int,
-    ) -> Optional[SharedLLC]:
+    ) -> None:
         """Stream the traces through the backend in bounded windows.
 
         Every chunk covers the same global step range ``[start, stop)`` on
         every lane (zero-copy :meth:`~repro.workloads.trace.CoreTrace.window`
         views), so the round-robin interleaving — and with it every shared
         structure's access order — is exactly the monolithic one restricted
-        to that window.  At power-of-two chunk boundaries (the 1st, 2nd,
-        4th, 8th, ...) the full engine state is serialized through JSON
-        (:meth:`snapshot`/:meth:`restore` on the prefetcher, L1-I caches,
-        prefetch buffers and LLC) and restored into *fresh* cache/buffer/
-        LLC objects, proving the checkpoint is complete: nothing can leak
-        across the boundary through object identity.  The roundtrip is a
-        proof device, not a correctness requirement, so exponential spacing
-        keeps its cost amortized while still exercising it at multiple
-        state maturities — including the very first boundary, where rebased
-        timestamps first go negative; boundaries in between carry the live
-        objects forward unchanged.
+        to that window.  The live cache, buffer, prefetcher and LLC objects
+        carry every piece of state across the boundary; nothing is
+        serialized here.  (The tests prove the :meth:`snapshot`/
+        :meth:`restore` checkpoints complete: a JSON-roundtripped
+        continuation equals the live one.)
 
         Counter discipline: the fast paths *assign* per-core stats and
         ``evicted_unused`` (clobbering), so each chunk runs against fresh
@@ -307,7 +295,7 @@ class SimulationEngine:
         write positions carry cumulatively through the live objects.
         Prefetch-issue timestamps are rebased at each boundary (chunk-local
         step counters restart at zero) so in-flight age classification is
-        unchanged.  Returns the (possibly replaced) LLC object.
+        unchanged.
 
         Chunks execute on the engine's own backend.  The vectorized numpy
         backend resumes from restored warm state directly: restored L1
@@ -321,7 +309,6 @@ class SimulationEngine:
         """
         chunk_backend = self._backend
         evicted_acc = {t.core_id: 0 for t in cores}
-        boundary = 0
         for start in range(0, max_len, chunk_blocks):
             stop = min(start + chunk_blocks, max_len)
             live = [t for t in cores if t.num_accesses > start]
@@ -356,48 +343,8 @@ class SimulationEngine:
                 span = stop - start
                 for buffer in buffers.values():
                     buffer.rebase_timestamps(span)
-                boundary += 1
-                if boundary & (boundary - 1) == 0:
-                    llc = self._checkpoint_roundtrip(
-                        caches, buffers, prefetcher, llc
-                    )
         for core_id, evicted in evicted_acc.items():
             buffers[core_id].evicted_unused = evicted
-        return llc
-
-    def _checkpoint_roundtrip(
-        self,
-        caches: Dict[int, SetAssociativeCache],
-        buffers: Dict[int, PrefetchBuffer],
-        prefetcher: Prefetcher,
-        llc: Optional[SharedLLC],
-    ) -> Optional[SharedLLC]:
-        """Serialize all engine state through JSON and restore fresh objects.
-
-        The prefetcher is restored in place (the engine cannot re-derive its
-        construction arguments); caches, buffers and the LLC come back as
-        brand-new objects, which the next chunk's lanes then reference.
-        """
-        state = json.loads(json.dumps({
-            "caches": [[cid, c.snapshot()] for cid, c in sorted(caches.items())],
-            "buffers": [[cid, b.snapshot()] for cid, b in sorted(buffers.items())],
-            "prefetcher": prefetcher.snapshot(),
-            "llc": None if llc is None else llc.snapshot(),
-        }))
-        for core_id, snap in state["caches"]:
-            fresh_cache = SetAssociativeCache(self._system.l1i)
-            fresh_cache.restore(snap)
-            caches[int(core_id)] = fresh_cache
-        for core_id, snap in state["buffers"]:
-            fresh_buffer = PrefetchBuffer(self._buffer_blocks)
-            fresh_buffer.restore(snap)
-            buffers[int(core_id)] = fresh_buffer
-        prefetcher.restore(state["prefetcher"])
-        if llc is None:
-            return None
-        fresh_llc = SharedLLC(self._system.llc, self._system.num_cores)
-        fresh_llc.restore(state["llc"])
-        return fresh_llc
 
     def _build_llc(self, trace_set: TraceSet) -> SharedLLC:
         """The run's shared LLC, with virtualized SHIFT histories pinned.

@@ -28,8 +28,8 @@ shared history capacity between the stacks.
 Performance notes: :mod:`repro.sim._fastpath` inlines the hot paths of these
 classes into specialized simulation loops, reaching into the underscore
 attributes directly.  The classes here stay the single source of truth for
-*semantics* — the regression tests pin the fast paths to them and to the
-frozen PR-1 reference in :mod:`repro.sim._legacy`.
+*semantics* — the regression tests pin the fast paths to the generic
+round-robin loop that drives them through :meth:`Prefetcher.on_access`.
 """
 
 from __future__ import annotations
@@ -79,17 +79,9 @@ def _expand_offsets(region_blocks: int) -> List[Tuple[int, ...]]:
 
 
 class Prefetcher:
-    """Base class: never prefetches.
-
-    ``shares_state`` declares whether the engine couples cores through shared
-    mutable state (like SHIFT's history).  The simulation loop may process
-    cores sequentially when it is False; shared-state engines must be stepped
-    round-robin so every core observes the same history interleaving.
-    Subclasses with cross-core state must leave it True.
-    """
+    """Base class: never prefetches."""
 
     name = "none"
-    shares_state = True
 
     def on_access(self, core_id: int, block_address: int, outcome: int) -> List[int]:
         """Observe one retire-order access; return blocks to prefetch."""
@@ -111,11 +103,9 @@ class Prefetcher:
     def snapshot(self) -> dict:
         """Serialize all mutable engine state as plain JSON-safe values.
 
-        The chunked engine (:class:`~repro.sim.engine.SimulationEngine` with
-        ``chunk_blocks``) round-trips this through ``json.dumps`` at every
-        chunk boundary and feeds it back to :meth:`restore`; the contract is
-        that a restored engine continues bit-for-bit as if never paused.
-        Stateless engines return ``{}``.
+        The contract is that :meth:`restore` of a ``json.dumps`` roundtrip
+        of this continues bit-for-bit as if never paused; the chunked-engine
+        tests prove it at chunk boundaries.  Stateless engines return ``{}``.
         """
         return {}
 
@@ -151,8 +141,6 @@ class Prefetcher:
 class NullPrefetcher(Prefetcher):
     """Explicit no-prefetch baseline."""
 
-    shares_state = False
-
 
 class NextLinePrefetcher(Prefetcher):
     """Tagged next-N-line prefetcher.
@@ -163,7 +151,6 @@ class NextLinePrefetcher(Prefetcher):
     """
 
     name = "next_line"
-    shares_state = False
 
     def __init__(self, config: Optional[NextLineConfig] = None) -> None:
         self._config = config if config is not None else NextLineConfig()
@@ -527,11 +514,31 @@ class StreamEngine:
         )
 
 
+class HistoryGroup(NamedTuple):
+    """One history domain of a stream prefetcher (PIF or SHIFT family).
+
+    A uniform view over PIF (one private history per core, so every core
+    is a group of one and its own trainer), plain SHIFT (one history for
+    all cores) and consolidated SHIFT (one history per workload stack):
+    ``core_ids`` are the cores whose stream engines replay this history,
+    ``trainer_core`` is the single core whose compactor feed appends to
+    it, and ``compactor``/``history``/``index`` are the mutable state
+    itself.  Both backends resolve lane roles through
+    ``history_groups()``, so they can never disagree about which core
+    trains which history.
+    """
+
+    core_ids: Tuple[int, ...]
+    trainer_core: int
+    compactor: SpatialCompactor
+    history: HistoryBuffer
+    index: IndexTable
+
+
 class PIFPrefetcher(Prefetcher):
     """Proactive Instruction Fetch: private history, index and streams per core."""
 
     name = "pif"
-    shares_state = False
 
     def __init__(self, num_cores: int, config: Optional[PIFConfig] = None) -> None:
         if num_cores < 1:
@@ -563,6 +570,15 @@ class PIFPrefetcher(Prefetcher):
         if outcome == MISS:
             return self._streams[core_id].on_miss(block_address)
         return self._streams[core_id].on_consume(block_address)
+
+    def history_groups(self) -> List[HistoryGroup]:
+        """One private history domain per core: each core trains its own."""
+        return [
+            HistoryGroup((core,), core, compactor, history, index)
+            for core, (compactor, history, index) in enumerate(
+                zip(self._compactors, self._histories, self._indices)
+            )
+        ]
 
     def storage_bytes_per_core(self, num_cores: int) -> int:
         return self._config.storage_bytes_per_core
@@ -596,26 +612,6 @@ class PIFPrefetcher(Prefetcher):
         )
 
 
-class HistoryGroup(NamedTuple):
-    """One shared-history domain of a SHIFT-family prefetcher.
-
-    A uniform view over the plain (one history for all cores) and
-    consolidated (one history per workload stack) variants: ``core_ids``
-    are the cores whose stream engines replay this history,
-    ``trainer_core`` is the single core whose compactor feed appends to
-    it, and ``compactor``/``history``/``index`` are the shared mutable
-    state itself.  Both backends resolve lane roles through
-    ``history_groups()``, so they can never disagree about which core
-    trains which history.
-    """
-
-    core_ids: Tuple[int, ...]
-    trainer_core: int
-    compactor: SpatialCompactor
-    history: HistoryBuffer
-    index: IndexTable
-
-
 class SHIFTPrefetcher(Prefetcher):
     """Shared History Instruction Fetch.
 
@@ -629,7 +625,6 @@ class SHIFTPrefetcher(Prefetcher):
     """
 
     name = "shift"
-    shares_state = True
 
     def __init__(
         self,
@@ -758,7 +753,6 @@ class ConsolidatedSHIFTPrefetcher(Prefetcher):
     """
 
     name = "shift"
-    shares_state = True
 
     def __init__(
         self,

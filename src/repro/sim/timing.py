@@ -11,11 +11,8 @@ is classified: an LLC hit costs the NoC round trip plus an LLC bank access
 (:meth:`~repro.config.SystemConfig.llc_demand_latency_cycles`), a memory
 miss additionally pays the off-chip access
 (:meth:`~repro.config.SystemConfig.memory_demand_latency_cycles`).  Results
-from runs without an LLC model (the frozen PR-1 reference) carry no
-classification and are charged uniformly at LLC latency — PR-1's demand
-charging.  (PR-1's *history* charge is not preserved: it billed half an
-LLC bank access per history-block read; a real read of a pinned block
-costs a full one.)
+from runs without an LLC model (``model_llc=False``) carry no
+classification and are charged uniformly at LLC latency.
 
 For virtualized SHIFT, history records are *real* LLC reads of the pinned
 history blocks (one bank access per 64-byte block of 12 records); each read
@@ -61,8 +58,7 @@ def core_timing(
     base_cycles = result.instructions / core_config.base_ipc
     miss_latency = system.llc_demand_latency_cycles()
     memory_latency = system.memory_demand_latency_cycles()
-    # Unclassified misses (no LLC model in the run) charge LLC latency,
-    # reproducing the pre-LLC timing for legacy results.
+    # Unclassified misses (no LLC model in the run) charge LLC latency.
     memory_misses = result.memory_misses
     llc_served = result.misses - memory_misses
     stall_cycles = core_config.stall_exposure * (

@@ -20,6 +20,12 @@ chunked resumes), comparing every counter, the LLC statistics, the
 prefetcher snapshot (owner insertion order included) and the prefetch
 buffers' FIFO order; the int64-headroom guard is checked to refuse
 before any write.
+
+The python backend's PIF runs on the same stream loop as SHIFT, with one
+history group per core; seeded random PIF configurations (history and
+index capacities, index smaller than history included, stream geometry,
+buffer capacity, uneven lanes, chunked runs) pin it against the generic
+round-robin loop that a ``PIFPrefetcher`` subclass runs.
 """
 
 import dataclasses
@@ -30,6 +36,7 @@ import pytest
 
 from repro.config import (
     CacheConfig,
+    PIFConfig,
     SHIFTConfig,
     SpatialRegionConfig,
     StreamBufferConfig,
@@ -40,7 +47,11 @@ from repro.experiments import run_experiment
 from repro.sim import CoreResult, PrefetchBuffer, SetAssociativeCache, SimulationEngine
 from repro.sim import prefetchers
 from repro.sim.backends import get_backend
-from repro.sim.prefetchers import ConsolidatedSHIFTPrefetcher, SHIFTPrefetcher
+from repro.sim.prefetchers import (
+    ConsolidatedSHIFTPrefetcher,
+    PIFPrefetcher,
+    SHIFTPrefetcher,
+)
 from repro.workloads.generator import generate_traces
 from repro.workloads.suite import WORKLOAD_NAMES, scaled_workload, workload_by_name
 from repro.workloads.trace import CoreTrace, TraceSet
@@ -428,3 +439,49 @@ class TestShiftLaneKernelParity:
             get_backend("python"), system, SHIFTPrefetcher(2, config=config),
             traces, 64, 200,
         )
+
+
+#: Seeds of the python-PIF vs generic-loop cases.
+PIF_SEEDS = tuple(range(16))
+
+
+class _GenericPIF(PIFPrefetcher):
+    """Not the exact built-in type, so every backend runs the generic
+    round-robin loop through ``on_access``."""
+
+
+def _pif_case(seed):
+    rng = random.Random(seed)
+    num_cores = rng.randint(1, 4)
+    region = rng.choice([2, 3, 8, 16])
+    history = rng.randint(16, 512)
+    config = PIFConfig(
+        history_entries=history,
+        index_entries=rng.choice([4, rng.randint(4, history), history]),
+        spatial_region=SpatialRegionConfig(region_blocks=region),
+        stream_buffer=StreamBufferConfig(
+            num_streams=rng.randint(1, 8),
+            capacity_records=rng.randint(1, 12),
+            lookahead_records=rng.randint(1, 16),
+        ),
+    )
+    system = scaled_system(num_cores=num_cores)
+    trace_set = _dense_traces(rng, num_cores, rng.choice([300, 900, 1_500]), region)
+    chunk = rng.choice([None, rng.randint(1, 40), rng.randint(41, 700)])
+    return system, num_cores, config, trace_set, rng.randint(1, 300), chunk
+
+
+class TestPIFStreamLaneParity:
+    @pytest.mark.parametrize("seed", PIF_SEEDS)
+    def test_python_pif_matches_generic_loop(self, seed):
+        system, num_cores, config, trace_set, buffer_blocks, chunk = _pif_case(seed)
+        python = get_backend("python")
+        fast = _drive(
+            python, system, PIFPrefetcher(num_cores, config), trace_set,
+            buffer_blocks, chunk,
+        )
+        generic = _drive(
+            python, system, _GenericPIF(num_cores, config), trace_set,
+            buffer_blocks, chunk,
+        )
+        assert fast == generic

@@ -263,7 +263,6 @@ class TestBackendParity:
     def test_custom_prefetcher_uses_python_loops(self):
         class EveryOther(Prefetcher):
             name = "every_other"
-            shares_state = False
 
             def on_access(self, core_id, block_address, outcome):
                 return [block_address + 2] if outcome != 0 else []

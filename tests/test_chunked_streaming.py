@@ -2,19 +2,22 @@
 
 Property tests sample random chunk geometries — including the degenerate
 edges: chunk size 1 (every access its own chunk, exercised only on tiny
-traces because the early power-of-two boundaries serialize full engine
-state), chunk equal to and beyond the trace length, prime sizes whose
-boundaries inevitably split OS-noise handler runs mid-flight — and assert
-``ExperimentReport.to_json`` byte equality against the monolithic run,
-serially and with ``REPRO_WORKERS=2``.  The warm-state tests snapshot a
+traces to keep the per-chunk overhead small), chunk equal to and beyond
+the trace length, prime sizes whose boundaries inevitably split OS-noise
+handler runs mid-flight — and assert ``ExperimentReport.to_json`` byte
+equality against the monolithic run, serially and with
+``REPRO_WORKERS=2``.  The warm-state tests snapshot a
 half-run simulation at a random boundary, restore it through JSON, and
 require the numpy backend's vectorized replay of the remaining window to
 match the Python loops on every observable — counters, LLC statistics and
 the written-back shared state — while its warm-state memos prove the
-vectorized path (not the fallback) actually ran.  The unit tests pin the
-checkpoint layer underneath: ``snapshot()``/``restore()`` round-trips
-through JSON for the L1, the prefetch buffer, the shared LLC and every
-prefetcher family, plus the geometry validation each ``restore`` performs.
+vectorized path (not the fallback) actually ran.  The chunk loop itself
+carries live objects across boundaries; a JSON-roundtripped continuation
+must equal that live one on both backends, which proves the checkpoints
+are complete.  The unit tests pin the checkpoint layer underneath:
+``snapshot()``/``restore()`` round-trips through JSON for the L1, the
+prefetch buffer, the shared LLC and every prefetcher family, plus the
+geometry validation each ``restore`` performs.
 See ARCHITECTURE.md ("Chunked streaming") for why these invariants define
 the feature.
 """
@@ -56,7 +59,7 @@ PROPERTY_SEEDS = (11, 12, 13)
 
 
 def _roundtrip(state):
-    """Chunk boundaries serialize state through JSON; so do the tests."""
+    """Checkpoints serialize state through JSON; so do the tests."""
     return json.loads(json.dumps(state))
 
 
@@ -296,15 +299,17 @@ def _family_prefetcher(family: str):
     return make_prefetcher(family, SYSTEM)
 
 
-def _warm_boundary_run(backend_name, family, trace_set, split):
-    """Warm a run to ``split`` on the Python loops, checkpoint through JSON,
-    then replay the remaining window once on ``backend_name``.
+def _warm_boundary_run(backend_name, family, trace_set, split, roundtrip=True):
+    """Warm a run to ``split`` on the Python loops, then replay the
+    remaining window once on ``backend_name``.
 
-    Mirrors one ``_run_chunked`` boundary with public snapshot/restore
-    APIs: rebased buffer timestamps, fresh cache/buffer/LLC objects, the
-    prefetcher restored in place.  Returns every observable of the second
-    window — per-core counters, LLC statistics and the written-back shared
-    state — for cross-backend comparison.
+    Mirrors one ``_run_chunked`` boundary: rebased buffer timestamps, then
+    — with ``roundtrip`` — a checkpoint through JSON with the public
+    snapshot/restore APIs into fresh cache/buffer/LLC objects and the
+    prefetcher restored in place; without it, the live objects carry on
+    as in ``_run_chunked``.  Returns every observable of the second window
+    — per-core counters, LLC statistics and the written-back shared
+    state — for comparison.
     """
     prefetcher = _family_prefetcher(family)
     engine = SimulationEngine(SYSTEM, prefetcher=prefetcher, backend=backend_name)
@@ -332,25 +337,8 @@ def _warm_boundary_run(backend_name, family, trace_set, split):
     get_backend("python").run(lanes, inflight, prefetcher, llc)
     for buffer in buffers.values():
         buffer.rebase_timestamps(split)
-    state = _roundtrip(
-        {
-            "caches": {str(cid): c.snapshot() for cid, c in caches.items()},
-            "buffers": {str(cid): b.snapshot() for cid, b in buffers.items()},
-            "prefetcher": prefetcher.snapshot(),
-            "llc": llc.snapshot(),
-        }
-    )
-    for t in cores:
-        fresh_cache = SetAssociativeCache(SYSTEM.l1i)
-        fresh_cache.restore(state["caches"][str(t.core_id)])
-        caches[t.core_id] = fresh_cache
-        fresh_buffer = PrefetchBuffer(DEFAULT_PREFETCH_BUFFER_BLOCKS)
-        fresh_buffer.restore(state["buffers"][str(t.core_id)])
-        buffers[t.core_id] = fresh_buffer
-    prefetcher.restore(state["prefetcher"])
-    fresh_llc = SharedLLC(SYSTEM.llc, SYSTEM.num_cores)
-    fresh_llc.restore(state["llc"])
-    llc = fresh_llc
+    if roundtrip:
+        llc = _checkpoint_roundtrip(caches, buffers, prefetcher, llc)
     chunk_stats = {t.core_id: CoreResult(core_id=t.core_id) for t in cores}
     lanes = [
         (t.core_id, t.window(split, length), caches[t.core_id],
@@ -368,6 +356,67 @@ def _warm_boundary_run(backend_name, family, trace_set, split):
     }
 
 
+def _checkpoint_roundtrip(caches, buffers, prefetcher, llc):
+    """Serialize all engine state through JSON and restore it: caches and
+    buffers into fresh objects (replaced in their dicts), the prefetcher in
+    place.  Returns the fresh LLC."""
+    state = _roundtrip(
+        {
+            "caches": {str(cid): c.snapshot() for cid, c in caches.items()},
+            "buffers": {str(cid): b.snapshot() for cid, b in buffers.items()},
+            "prefetcher": prefetcher.snapshot(),
+            "llc": llc.snapshot(),
+        }
+    )
+    for core_id in caches:
+        fresh_cache = SetAssociativeCache(SYSTEM.l1i)
+        fresh_cache.restore(state["caches"][str(core_id)])
+        caches[core_id] = fresh_cache
+        fresh_buffer = PrefetchBuffer(DEFAULT_PREFETCH_BUFFER_BLOCKS)
+        fresh_buffer.restore(state["buffers"][str(core_id)])
+        buffers[core_id] = fresh_buffer
+    prefetcher.restore(state["prefetcher"])
+    fresh_llc = SharedLLC(SYSTEM.llc, SYSTEM.num_cores)
+    fresh_llc.restore(state["llc"])
+    return fresh_llc
+
+
+def _warm_trace_set(config_seed, family, salt=0):
+    """A random all-core trace set and boundary for one family's case.
+
+    ``salt`` keeps test classes on distinct traces, so one class cannot
+    pre-fill the content-keyed numpy memos another class probes."""
+    rng = random.Random(config_seed * 1009 + sum(map(ord, family)) + salt)
+    spec = scaled_workload(workload_by_name(rng.choice(WORKLOAD_NAMES)), 16)
+    blocks = rng.choice([400, 600])
+    trace_set = generate_traces(
+        spec,
+        SYSTEM,
+        seed=rng.randint(0, 10_000),
+        num_cores=SYSTEM.num_cores,
+        blocks_per_core=blocks,
+    )
+    return trace_set, rng.randint(50, blocks - 50)
+
+
+class TestCheckpointCompleteness:
+    """The chunk loop carries live objects; a JSON checkpoint must lose
+    nothing they carry."""
+
+    @pytest.mark.parametrize("backend_name", ["python", "numpy"])
+    @pytest.mark.parametrize("family", WARM_FAMILIES)
+    @pytest.mark.parametrize("config_seed", PROPERTY_SEEDS)
+    def test_roundtripped_continuation_equals_live(
+        self, backend_name, family, config_seed
+    ):
+        if backend_name == "numpy":
+            pytest.importorskip("numpy")
+        trace_set, split = _warm_trace_set(config_seed, family, salt=1)
+        live = _warm_boundary_run(backend_name, family, trace_set, split, roundtrip=False)
+        restored = _warm_boundary_run(backend_name, family, trace_set, split)
+        assert restored == live
+
+
 class TestWarmStateVectorizedReplay:
     """The numpy backend must resume exactly from a restored checkpoint —
     and must do so on its vectorized paths, not the Python fallback."""
@@ -378,21 +427,11 @@ class TestWarmStateVectorizedReplay:
         pytest.importorskip("numpy")
         from repro.sim.backends import numpy_backend as nb
 
-        rng = random.Random(config_seed * 1009 + sum(map(ord, family)))
-        spec = scaled_workload(workload_by_name(rng.choice(WORKLOAD_NAMES)), 16)
-        blocks = rng.choice([400, 600])
-        trace_set = generate_traces(
-            spec,
-            SYSTEM,
-            seed=rng.randint(0, 10_000),
-            num_cores=SYSTEM.num_cores,
-            blocks_per_core=blocks,
-        )
-        split = rng.randint(50, blocks - 50)
+        trace_set, split = _warm_trace_set(config_seed, family)
         reference = _warm_boundary_run("python", family, trace_set, split)
 
         def warm_overlays():
-            return sum(1 for key in nb._ARRAY_CACHE if len(key) == 4)
+            return {key for key in nb._ARRAY_CACHE if len(key) == 4}
 
         solver_cache = {
             "none": nb._ARRAY_CACHE,
@@ -402,16 +441,18 @@ class TestWarmStateVectorizedReplay:
             "shift_groups": nb._SHIFT_CACHE,
         }[family]
         overlays_before = warm_overlays()
-        solver_before = len(solver_cache)
+        solver_before = set(solver_cache)
         warm = _warm_boundary_run("numpy", family, trace_set, split)
         assert warm == reference
-        # The memo probe: a vectorized warm replay populates the warm L1
-        # overlay cache and the family's solver cache; the Python fallback
-        # touches neither.  This keeps the warm path honest — a silently
-        # widened _Unsupported bailout would fail here, not just run slow.
-        assert warm_overlays() > overlays_before
+        # The memo probe: a vectorized warm replay inserts new warm L1
+        # overlays and family solver entries; the Python fallback touches
+        # neither.  This keeps the warm path honest — a silently widened
+        # _Unsupported bailout would fail here, not just run slow.  New
+        # keys, not sizes: a memo at its LRU cap evicts one entry per
+        # insertion, so its size need not grow.
+        assert warm_overlays() - overlays_before
         if family != "none":
-            assert len(solver_cache) > solver_before
+            assert set(solver_cache) - solver_before
 
     @pytest.mark.parametrize("config_seed", PROPERTY_SEEDS)
     def test_warm_numpy_random_chunk_geometry_byte_identical(self, config_seed):

@@ -3,8 +3,9 @@
 The LLC's LRU state is shared across cores, so the order of LLC accesses is
 defined by the generic round-robin loop; every specialized loop in
 :mod:`repro.sim._fastpath` (including the per-core loops, via event replay)
-must reproduce its ``llc_hits`` / ``memory_misses`` classification and the
-aggregate :class:`~repro.sim.llc.LLCStats` *exactly*.
+must reproduce its counters, its ``llc_hits`` / ``memory_misses``
+classification and the aggregate :class:`~repro.sim.llc.LLCStats`
+*exactly* — on equal-length lanes and on lanes that drop out early.
 """
 
 from dataclasses import asdict
@@ -27,8 +28,9 @@ from repro.sim.prefetchers import (
     Prefetcher,
     SHIFTPrefetcher,
 )
-from repro.workloads.generator import generate_traces
+from repro.workloads.generator import WorkloadTraceGenerator, generate_traces
 from repro.workloads.suite import scaled_workload, workload_by_name
+from repro.workloads.trace import TraceSet
 
 SYSTEM = scaled_system()
 
@@ -120,6 +122,19 @@ def trace_set():
     return generate_traces(spec, SYSTEM, seed=2, num_cores=4, blocks_per_core=3_000)
 
 
+@pytest.fixture(scope="module")
+def uneven_trace_set():
+    """Different per-core trace lengths exercise the lane drop-out paths."""
+    spec = scaled_workload(workload_by_name("web_frontend"), 16)
+    generator = WorkloadTraceGenerator(spec, SYSTEM, seed=9)
+    traces = [
+        generator.core_trace(0, 3_000),
+        generator.core_trace(1, 1_500),
+        generator.core_trace(2, 2_200),
+    ]
+    return TraceSet(traces=traces, seed=9, name="uneven")
+
+
 def core_dicts(result):
     return [asdict(core) for core in result.cores]
 
@@ -129,19 +144,19 @@ def llc_dict(result):
     return asdict(result.llc)
 
 
-# Forcing shares_state=True (or subclassing the SHIFT engines) routes a
-# prefetcher through the generic round-robin loop, the semantic reference
-# the LLC-aware fast paths are pinned to.
+# The python backend dispatches on the exact prefetcher type, so any
+# subclass runs the generic round-robin loop, the semantic reference the
+# LLC-aware fast paths are pinned to.
 class _GenericBaseline(Prefetcher):
-    shares_state = True
+    pass
 
 
 class _GenericNextLine(NextLinePrefetcher):
-    shares_state = True
+    pass
 
 
 class _GenericPIF(PIFPrefetcher):
-    shares_state = True
+    pass
 
 
 class _GenericSHIFT(SHIFTPrefetcher):
@@ -155,28 +170,40 @@ class _GenericConsolidated(ConsolidatedSHIFTPrefetcher):
 class TestLLCFastPathEquivalence:
     """Fast paths vs. the generic loop: full equality, LLC counters included."""
 
-    def pairs(self):
+    def pairs(self, num_cores=4, groups=((0, 1), (2,))):
+        """(fast, generic) prefetcher pairs; core 3 outside ``groups``
+        stays passive under consolidated SHIFT."""
         pif = scaled_pif_config(16)
         shift = scaled_shift_config(16)
-        groups = [(0, 1), (2,)]  # core 3 stays passive
         return [
             (NullPrefetcher(), _GenericBaseline()),
             (NextLinePrefetcher(), _GenericNextLine()),
-            (PIFPrefetcher(4, pif), _GenericPIF(4, pif)),
-            (SHIFTPrefetcher(4, shift), _GenericSHIFT(4, shift)),
+            (PIFPrefetcher(num_cores, pif), _GenericPIF(num_cores, pif)),
+            (SHIFTPrefetcher(num_cores, shift), _GenericSHIFT(num_cores, shift)),
             (
                 ConsolidatedSHIFTPrefetcher(groups, shift),
                 _GenericConsolidated(groups, shift),
             ),
         ]
 
-    def test_all_engine_families_match_generic_loop(self, trace_set):
-        for fast, generic in self.pairs():
+    def assert_pairs_match(self, trace_set, pairs):
+        for fast, generic in pairs:
             fast_result = SimulationEngine(SYSTEM, fast).run(trace_set)
             generic_result = SimulationEngine(SYSTEM, generic).run(trace_set)
             name = type(fast).__name__
             assert core_dicts(fast_result) == core_dicts(generic_result), name
             assert llc_dict(fast_result) == llc_dict(generic_result), name
+
+    def test_all_engine_families_match_generic_loop(self, trace_set):
+        self.assert_pairs_match(trace_set, self.pairs())
+
+    def test_uneven_lane_lengths_match_generic_loop(self, uneven_trace_set):
+        """Lanes that run out early drop out of the round-robin on every
+        path; the survivors' interleaving (and the LLC order) must not
+        shift."""
+        self.assert_pairs_match(
+            uneven_trace_set, self.pairs(num_cores=3, groups=((0, 2), (1,)))
+        )
 
     def test_classification_partitions_misses(self, trace_set):
         for engine, kwargs in (
@@ -193,6 +220,42 @@ class TestLLCFastPathEquivalence:
         result = simulate(trace_set, SYSTEM, "none", model_llc=False)
         assert result.llc is None
         assert all(c.llc_hits == 0 and c.memory_misses == 0 for c in result.cores)
+
+
+class TestGenericLoopFallback:
+    def test_shift_subclass_falls_back_to_generic_loop(self, trace_set):
+        """Subclassed engines bypass the exact-type fast paths but must agree."""
+
+        class TracingSHIFT(SHIFTPrefetcher):
+            pass
+
+        generic = SimulationEngine(
+            SYSTEM, TracingSHIFT(SYSTEM.num_cores, scaled_shift_config(16))
+        ).run(trace_set)
+        fast = simulate(trace_set, SYSTEM, "shift", shift_config=scaled_shift_config(16))
+        assert core_dicts(generic) == core_dicts(fast)
+
+    def test_consolidated_shift_matches_generic_loop(self, trace_set):
+        groups = [(0, 1), (2, 3)]
+        config = scaled_shift_config(16)
+        fast = SimulationEngine(SYSTEM, ConsolidatedSHIFTPrefetcher(groups, config)).run(
+            trace_set
+        )
+        generic = SimulationEngine(SYSTEM, _GenericConsolidated(groups, config)).run(
+            trace_set
+        )
+        assert core_dicts(fast) == core_dicts(generic)
+
+    def test_consolidated_shift_only_trains_within_groups(self, trace_set):
+        """A core outside every group gets no prefetches (passive lane)."""
+        config = scaled_shift_config(16)
+        result = SimulationEngine(
+            SYSTEM, ConsolidatedSHIFTPrefetcher([(0, 1, 2)], config)
+        ).run(trace_set)
+        outside = result.by_core()[3]
+        assert outside.prefetches_issued == 0
+        assert outside.prefetch_hits == 0
+        assert outside.demand_hits + outside.misses == outside.accesses
 
 
 class TestHistoryVirtualization:

@@ -14,7 +14,8 @@ byte-identical reports per engine.  Four statically checkable clauses:
   through the module's call/instantiation graph — an entry that can never
   bail out has silently dropped its guard rails (``no-bailout``);
 * each engine token appears in ``tests/test_backends.py``, so the parity
-  suite exercises it (``untested-engine``).
+  suite exercises it (``untested-engine``); an entry serving several
+  engines (``_run_stream``: PIF and SHIFT) needs every one of them.
 """
 
 from __future__ import annotations
@@ -30,8 +31,9 @@ TESTS_FILE = "test_backends.py"
 EXCEPTION_NAME = "_Unsupported"
 
 #: Engine-token aliases: the registry names the no-prefetch engine "none",
-#: while its vectorized loop is ``_run_baseline``.
-TOKEN_ALIASES = {"baseline": ("baseline", "none")}
+#: while its vectorized loop is ``_run_baseline``; ``_run_stream`` serves
+#: the stream engines, "pif" and "shift", and each must be pinned.
+TOKEN_ALIASES = {"baseline": (("baseline", "none"),), "stream": (("pif",), ("shift",))}
 
 
 def _catches_unsupported(handler: ast.ExceptHandler) -> bool:
@@ -218,18 +220,18 @@ def check(project: Project) -> List[Finding]:
             )
         if tests_text is not None:
             token = name[len("_run_") :]
-            accepted = TOKEN_ALIASES.get(token, (token,))
-            if not any(
-                re.search(rf"\b{re.escape(alias)}\b", tests_text) for alias in accepted
-            ):
-                findings.append(
-                    Finding(
-                        source.relpath,
-                        entry_line,
-                        "backend-parity/untested-engine",
-                        f"engine token {token!r} (from {name}) appears nowhere in "
-                        f"tests/{TESTS_FILE}: the parity suite does not pin this "
-                        "engine's byte-identical fallback",
+            for accepted in TOKEN_ALIASES.get(token, ((token,),)):
+                if not any(
+                    re.search(rf"\b{re.escape(alias)}\b", tests_text) for alias in accepted
+                ):
+                    findings.append(
+                        Finding(
+                            source.relpath,
+                            entry_line,
+                            "backend-parity/untested-engine",
+                            f"engine token {accepted[0]!r} (from {name}) appears "
+                            f"nowhere in tests/{TESTS_FILE}: the parity suite does "
+                            "not pin this engine's byte-identical fallback",
+                        )
                     )
-                )
     return findings

@@ -133,11 +133,13 @@ def _bench_trace_scale(
     """Out-of-core chunked streaming: peak memory must be flat in trace length.
 
     Simulates SHIFT with a fixed ``--chunk-blocks`` window on a 10x and a
-    100x trace and compares peak simulation memory (``tracemalloc``):
-    ``peak_flatness`` is the 100x peak over the 10x peak, which a healthy
+    100x trace (``quick``: 5x and 20x, which keeps every gate but runs in a
+    fifth of the time) and compares peak simulation memory
+    (``tracemalloc``): ``peak_flatness`` is the long peak over the short
+    one, which a healthy
     chunked path keeps near 1.0 — the working set is one window plus the
     serialized boundary checkpoint, both independent of trace length — and
-    the CI gate caps at :data:`_GATE_TRACE_SCALE_FLATNESS_MAX`.  The 100x
+    the CI gate caps at :data:`_GATE_TRACE_SCALE_FLATNESS_MAX`.  The long
     monolithic run, whose peak grows with the full trace (the Python loops
     materialize each lane's address list), is the contrast:
     ``monolithic_vs_chunked`` is the memory reduction chunking buys at
@@ -147,7 +149,7 @@ def _bench_trace_scale(
     ARCHITECTURE.md.  Peaks are absolute bytes, so the flatness ratio
     transfers across machines the same way the speedup ratios do.
 
-    The wall-clock side times the same 100x chunked run on the python
+    The wall-clock side times the same long chunked run on the python
     loops against the numpy backend's warm-state vectorized replay
     (best-of-repeats, warm-cache — the steady state of sweeps, same
     rationale as the hotloop backend timings): ``chunked_numpy_speedup``
@@ -165,8 +167,9 @@ def _bench_trace_scale(
     from ..sim import available_backends, simulate
 
     chunk_blocks = 1000
-    blocks_mid = chunk_blocks * 10
-    blocks_large = chunk_blocks * 100
+    mid_scale, large_scale = (5, 20) if quick else (10, 100)
+    blocks_mid = chunk_blocks * mid_scale
+    blocks_large = chunk_blocks * large_scale
     num_cores = 4
     timing_repeats = 1 if quick else 3
     curve_windows = (500, 1000, 5000)
@@ -241,8 +244,9 @@ def _bench_trace_scale(
         curve.append(point)
     result = {
         "description": "out-of-core chunked streaming: SHIFT with a fixed "
-        "--chunk-blocks window on 10x and 100x traces; peak tracemalloc bytes "
-        "must be flat in trace length (peak_flatness, CI-capped), the 100x "
+        f"--chunk-blocks window on {mid_scale}x and {large_scale}x traces; peak "
+        "tracemalloc bytes must be flat in trace length (peak_flatness, "
+        f"CI-capped), the {large_scale}x "
         "monolithic run is the memory-reduction contrast, the chunked report "
         "must equal the monolithic one exactly on every backend, and the "
         "chunk-size curve times chunked python vs warm-state chunked numpy "

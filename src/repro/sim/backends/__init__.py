@@ -44,12 +44,12 @@ def _numpy_backend() -> Backend:
 
 
 def _numpy_unavailable() -> Optional[str]:
-    """NumPy must be installed, and the SHIFT kernel cached or compilable."""
+    """NumPy must be installed, and the stream-lane kernel cached or compilable."""
     why = _missing_module_reason("numpy")()
     if why is None:
-        from . import _shift_kernel
+        from . import _stream_kernel
 
-        why = _shift_kernel.unavailable_reason()
+        why = _stream_kernel.unavailable_reason()
     return why
 
 

@@ -1,11 +1,13 @@
-"""The compiled SHIFT stream-lane event loop (C source and its ABI).
+"""The compiled stream-lane event loop (C source and its ABI).
 
-``shift_lane`` replays one SHIFT consumer lane against its group's
-precomputed history-append schedule: the loop the numpy backend's epoch
-split reduces SHIFT to (see :mod:`repro.sim.backends.numpy_backend`).  It
-is :meth:`repro.sim.prefetchers.StreamEngine.on_miss` / ``on_consume``
-plus the lane's prefetch-buffer FIFO, specialised to a frozen-between-
-appends history, with these data-structure choices:
+``stream_lane`` replays one stream lane — a PIF core against its private
+history, or a SHIFT consumer against its group's shared one — over the
+group's precomputed history-append schedule: the loop the numpy backend's
+epoch split reduces both engines to (see
+:mod:`repro.sim.backends.numpy_backend`).  It is
+:meth:`repro.sim.prefetchers.StreamEngine.on_miss` / ``on_consume`` plus
+the lane's prefetch-buffer FIFO, specialised to a frozen-between-appends
+history, with these data-structure choices:
 
 * the stream-owner map, the prefetch buffer and the lane's index view are
   one insertion-ordered int64 hash map (``omap``) with Python ``dict``
@@ -16,25 +18,29 @@ appends history, with these data-structure choices:
 * a stream's ``outstanding`` set always equals the blocks the owner map
   assigns to it, so streams carry only a count; the caller rebuilds the
   sets from the owner items;
-* the index is rebuilt from the restored ring (last position per trigger
-  over the last ``hist_cap`` appends) instead of being copied: SHIFT's
-  index capacity equals its history capacity, so the two agree on every
-  entry the validity window admits.
+* the index view is an exact :class:`~repro.sim.prefetchers.IndexTable`:
+  it starts from the restored entries in FIFO order, and each append
+  that becomes visible is a ``put`` — a trigger already present moves to
+  the end, an overflow past ``index_cap`` pops the oldest entry — so an
+  index smaller than the history (PIF's is a quarter of it) evicts
+  exactly as the Python loops do.  A lookup is valid only inside the
+  history validity window, as ``HistoryBuffer.valid`` checks it.
 
 The kernel never writes its inputs.  Block addresses are formed as
 ``trigger + offset`` with ``offset < region_blocks`` and reduced modulo
 the set count, so the caller must refuse triggers that are negative or
 within ``region_blocks`` of the int64 limit beforehand.
 
-ABI: ``int shift_lane(a, hit, other, setidx, n, init_m, init_o, num_sets,
+ABI: ``int stream_lane(a, hit, other, setidx, n, init_m, init_o, num_sets,
 group, state, out, p_cap, owner_cap)``.  ``a``/``other``/``setidx`` are
 the lane's int64 columns (``hit`` as uint8), ``init_m``/``init_o`` the
 L1 sets' restored MRU/co-resident tags.  ``group``, ``state`` and
 ``out`` are packed int64 arrays:
 
-* ``group``: ``total, n_ring``, then the schedule's ``total`` append
-  steps, ``total`` triggers and ``total`` masks, then the ring's first
-  ``n_ring`` slots as (trigger, mask) pairs;
+* ``group``: ``total, n_ring, n_index``, then the schedule's ``total``
+  append steps, ``total`` triggers and ``total`` masks, then the ring's
+  first ``n_ring`` slots as (trigger, mask) pairs, then the restored
+  index's ``n_index`` entries as (trigger, position) pairs in FIFO order;
 * ``state``: the :data:`STATE` scalars, then the restored streams'
   next positions and last LLC blocks in round-robin order, the owner
   map's blocks and stream slots in insertion order and the buffer's
@@ -62,6 +68,7 @@ from . import _native
 STATE = (
     "delta",
     "hist_cap",
+    "index_cap",
     "num_streams",
     "lookahead",
     "outstanding_cap",
@@ -261,16 +268,6 @@ static inline void om_del(omap *m, i64 h)
         m->head++;
 }
 
-/* d[key] = val: updates in place or appends. */
-static inline int om_set(omap *m, i64 key, i64 val)
-{
-    i64 h = om_find(m, key);
-    if (h < 0)
-        return om_add(m, key, val);
-    m->val[m->slot[h]] = val;
-    return 0;
-}
-
 /* dict.pop(key, None): 1 and *val when present. */
 static inline int om_pop(omap *m, i64 key, i64 *val)
 {
@@ -295,12 +292,15 @@ typedef struct {
     /* history view: this chunk's appends, the restored ring's pairs */
     const i64 *rec_trigger, *rec_mask, *ring;
     i64 base_pos, hist_cap, visible, rpb;
+    /* the lane's view of the index: trigger -> position, FIFO order */
+    omap index;
+    i64 index_cap;
     /* streams: physical slots, round-robin order, per-slot counts */
     i64 *spos, *sllc, *scount, *order;
     unsigned char *busy;
     i64 nstreams, num_streams, lookahead, outstanding_cap;
     /* buffer */
-    omap owner, buf, latest;
+    omap owner, buf;
     i64 buffer_cap;
     /* outputs */
     i64 misses, issued, evicted, dispatches, record_reads, llc_reads;
@@ -322,6 +322,20 @@ static inline void read_record(const lane_t *L, i64 pos, i64 *trigger, i64 *mask
 static inline int in_window(const lane_t *L, i64 pos)
 {
     return pos >= 0 && pos < L->visible && pos >= L->visible - L->hist_cap;
+}
+
+/* IndexTable.put: a present trigger moves to the end, an overflow pops
+   the oldest entry. */
+static inline int index_put(lane_t *L, i64 trigger, i64 pos)
+{
+    i64 h = om_find(&L->index, trigger);
+    if (h >= 0)
+        om_del(&L->index, h);
+    if (om_add(&L->index, trigger, pos) < 0)
+        return -1;
+    if (L->index.live > L->index_cap)
+        om_pop_oldest(&L->index);
+    return 0;
 }
 
 static inline void count_llc_read(lane_t *L, i64 s, i64 pos)
@@ -395,11 +409,11 @@ static int on_miss(lane_t *L, i64 address, i64 step)
     i64 stale, pos;
     if (om_pop(&L->owner, address, &stale))
         L->scount[stale]--;
-    i64 h = om_find(&L->latest, address);
+    i64 h = om_find(&L->index, address);
     if (h < 0)
         return 0;
-    pos = L->latest.val[L->latest.slot[h]];
-    if (pos < L->visible - L->hist_cap)
+    pos = L->index.val[L->index.slot[h]];
+    if (!in_window(L, pos))
         return 0;
     if (L->nstreams >= L->num_streams) {
         retire(L, L->order[0]);
@@ -446,13 +460,13 @@ static int on_consume(lane_t *L, i64 address, i64 step)
     return track_record(L, s, trigger, mask, step);
 }
 
-enum { S_DELTA, S_HIST_CAP, S_NUM_STREAMS, S_LOOKAHEAD, S_OUTSTANDING_CAP, S_RPB,
-       S_BUFFER_CAP, S_BASE_POS, S_DISPATCHES, S_RECORD_READS, S_LLC_READS, S_EVICTED,
+enum { S_DELTA, S_HIST_CAP, S_INDEX_CAP, S_NUM_STREAMS, S_LOOKAHEAD, S_OUTSTANDING_CAP,
+       S_RPB, S_BUFFER_CAP, S_BASE_POS, S_DISPATCHES, S_RECORD_READS, S_LLC_READS, S_EVICTED,
        S_N_STREAMS, S_N_OWNER, S_N_BUFFER, S_COLUMNS };
 enum { C_MISSES, C_ISSUED, C_EVICTED, C_DISPATCHES, C_RECORD_READS, C_LLC_READS,
        C_AGES, C_BUFFER, C_OWNER, C_STREAMS, C_COUNTS };
 
-int shift_lane(const i64 *a, const unsigned char *hit, const i64 *other, const i64 *setidx,
+int stream_lane(const i64 *a, const unsigned char *hit, const i64 *other, const i64 *setidx,
                i64 n, const i64 *init_m, const i64 *init_o, i64 num_sets,
                const i64 *group, const i64 *state, i64 *out, i64 p_cap, i64 owner_cap)
 {
@@ -467,14 +481,16 @@ int shift_lane(const i64 *a, const unsigned char *hit, const i64 *other, const i
     const i64 *owner_slots = owner_blocks + n_owner;
     const i64 *buf_blocks = owner_slots + n_owner;
     const i64 *buf_issued = buf_blocks + n_buf;
-    i64 total = group[0], n_ring = group[1];
-    const i64 *rec_step = group + 2;
+    i64 total = group[0], n_ring = group[1], n_index = group[2];
+    const i64 *rec_step = group + 3;
     L.num_sets = num_sets;
     L.rec_trigger = rec_step + total;
     L.rec_mask = rec_step + 2 * total;
     L.ring = rec_step + 3 * total;
+    const i64 *index_items = L.ring + 2 * n_ring;
     L.base_pos = state[S_BASE_POS];
     L.hist_cap = state[S_HIST_CAP];
+    L.index_cap = state[S_INDEX_CAP];
     L.visible = L.base_pos;
     L.rpb = state[S_RPB];
     L.num_streams = state[S_NUM_STREAMS];
@@ -511,8 +527,8 @@ int shift_lane(const i64 *a, const unsigned char *hit, const i64 *other, const i
     if (!L.content_m || !L.content_o || !L.spos || !L.sllc || !L.scount || !L.order
         || !L.busy || om_init(&L.owner, 4 * n_owner + 64) < 0
         || om_init(&L.buf, 4 * n_buf + 64) < 0
-        /* the index view never deletes: its final size is known */
-        || om_init(&L.latest, n_ring + total) < 0)
+        /* each put appends at most one log entry: no compaction needed */
+        || om_init(&L.index, n_index + total) < 0)
         goto done;
     memcpy(L.content_m, init_m, (size_t)num_sets * sizeof(i64));
     memcpy(L.content_o, init_o, (size_t)num_sets * sizeof(i64));
@@ -532,19 +548,17 @@ int shift_lane(const i64 *a, const unsigned char *hit, const i64 *other, const i
         if (om_add(&L.buf, buf_blocks[i], buf_issued[i]) < 0)
             goto done;
 
-    /* The index view: the last position of each trigger among the
-       restored appends (oldest first), then this chunk's appends as they
-       become visible. */
-    for (i64 pos = L.base_pos > L.hist_cap ? L.base_pos - L.hist_cap : 0; pos < L.base_pos;
-         pos++)
-        if (om_set(&L.latest, L.ring[2 * (pos % L.hist_cap)], pos) < 0)
+    /* The index view: the restored entries (distinct triggers, FIFO
+       order), then a put per append of this chunk as it becomes visible. */
+    for (i64 i = 0; i < n_index; i++)
+        if (om_add(&L.index, index_items[2 * i], index_items[2 * i + 1]) < 0)
             goto done;
 
     i64 appended = 0, n_ages = 0;
     for (i64 step = 0; step < n; step++) {
         /* Appends the trainer made by this step become visible. */
         for (; appended < total && rec_step[appended] + delta <= step; appended++)
-            if (om_set(&L.latest, L.rec_trigger[appended], L.base_pos + appended) < 0)
+            if (index_put(&L, L.rec_trigger[appended], L.base_pos + appended) < 0)
                 goto done;
         L.visible = L.base_pos + appended;
         i64 address = a[step];
@@ -612,7 +626,7 @@ done:
     free(L.busy);
     om_free(&L.owner);
     om_free(&L.buf);
-    om_free(&L.latest);
+    om_free(&L.index);
     return rc;
 }
 """
@@ -620,17 +634,17 @@ done:
 
 def unavailable_reason() -> Optional[str]:
     """Why the kernel cannot be built or loaded here, or None."""
-    return _native.unavailable_reason("shift_kernel", SOURCE)
+    return _native.unavailable_reason("stream_kernel", SOURCE)
 
 
 def load():
-    """The compiled ``shift_lane`` entry point, with its ctypes signature.
+    """The compiled ``stream_lane`` entry point, with its ctypes signature.
 
     Builds the shared object on first use (see :mod:`._native`); ctypes
     releases the GIL for the duration of every call.
     """
-    library = _native.load_library("shift_kernel", SOURCE)
-    function = library.shift_lane
+    library = _native.load_library("stream_kernel", SOURCE)
+    function = library.stream_lane
     ptr, i64 = ctypes.c_void_p, ctypes.c_int64
     function.argtypes = [
         ptr, ptr, ptr, ptr, i64,  # a, hit, other, setidx, n

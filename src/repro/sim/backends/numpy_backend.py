@@ -36,26 +36,29 @@ What stays per-event: the stream machinery of PIF and SHIFT (index
 lookups, stream dispatch and the per-block owner/buffer bookkeeping) is
 feedback-coupled through the prefetch buffer, so it runs as an event loop
 per lane — but on top of the precomputed hit flags, record stream and L1
-contents, which removes the per-access cache and compactor work.  PIF's
-loop is Python; SHIFT's is a compiled C kernel (:mod:`._shift_kernel`,
-built once with the system C compiler and loaded through :mod:`ctypes`,
-see :mod:`._native`), which the backend needs to be available at all.
+contents, which removes the per-access cache and compactor work.  Both
+engines run one compiled C kernel (:mod:`._stream_kernel`, built once
+with the system C compiler and loaded through :mod:`ctypes`, see
+:mod:`._native`), which the backend needs to be available at all.
 
-* **SHIFT's shared history splits into epochs.**  Only the trainer lane
-  ever writes the shared history, and the compactor feed is trace-pure,
-  so the append *schedule* (which round-robin steps append which record)
-  is precomputed once per group.  Between appends the history is frozen —
-  an epoch — so each consumer lane's replay depends on the other lanes
-  only through that schedule, and the round-robin collapses into
-  independent per-lane event loops (:func:`_shift_lane_solve`, compiled):
-  a lane's view of the history at step ``t`` is exactly the appends whose
+* **A history group splits into epochs.**  PIF, SHIFT and consolidated
+  SHIFT are the same machine with different history groups
+  (``history_groups()``: PIF has one per core, SHIFT one shared by every
+  core, consolidated SHIFT one per stack).  Only a group's trainer lane
+  ever writes its history, and the compactor feed is trace-pure, so the
+  append *schedule* (which round-robin steps append which record) is
+  precomputed once per group.  Between appends the history is frozen —
+  an epoch — so each lane's replay depends on the other lanes only
+  through that schedule, and the round-robin collapses into independent
+  per-lane event loops (:func:`_stream_lane_solve`, compiled): a lane's
+  view of the history at step ``t`` is exactly the appends whose
   visibility step (the trainer's append step, plus one for lanes that
-  precede the trainer in round-robin order) has been reached.  SHIFT's
-  index capacity equals its history capacity, so ``IndexTable.get``
-  reduces to the last *visible* append position per trigger plus the
-  history validity-window check (an evicted index entry is always stale
-  under that window).  LLC events are re-merged in the exact round-robin
-  order by :func:`_replay_llc`.
+  precede the trainer in round-robin order) has been reached, and its
+  view of the index is the group's bounded ``IndexTable`` with those
+  appends put into it in order — exact for any index capacity, so PIF's
+  quarter-size index and SHIFT's history-size one run the same code.
+  LLC events are re-merged in the exact round-robin order by
+  :func:`_replay_llc`.
 
 * **Warm state is a prologue, not a special case.**  The chunked engine
   (:meth:`~repro.sim.engine.SimulationEngine._run_chunked`) resumes every
@@ -64,10 +67,9 @@ see :mod:`._native`), which the backend needs to be available at all.
   seeded by treating each set's restored ``{MRU, LRU}`` pair as virtual
   accesses before the window (:class:`_WarmLaneArrays`); blocks already in
   a prefetch buffer enter the next-line timeline as pseudo-producers
-  ordered before every real event; the PIF event loop reads its live
-  compactor/history/stream state; and the SHIFT epoch solver treats the
-  restored history ring and index as epoch 0's visible prefix (the
-  restored ``next_pos`` becomes the append-position base).  Final L1
+  ordered before every real event; and the stream solver treats each
+  group's restored history ring and index as epoch 0's visible prefix
+  (the restored ``next_pos`` becomes the append-position base).  Final L1
   contents are materialized back into the lane caches
   (:func:`_write_l1_state`) so the next checkpoint sees them, and the LLC
   replay seeds first-occurrence detection with the restored per-set
@@ -80,7 +82,7 @@ fingerprint* (carried by the columnar :class:`~repro.workloads.trace.CoreTrace`
 IR and persisted in the trace cache's sidecar), extended for warm runs with
 the exact ``state_key()`` of the restored L1/buffer/prefetcher state: the
 per-lane arrays are shared by all four engine families of an experiment
-row, and the solved next-line timelines, PIF/SHIFT lane solutions and LLC
+row, and the solved next-line timelines, PIF/SHIFT stream solutions and LLC
 replays are replayed onto each run's objects whenever trace and state
 match.  Content keys keep the memos warm across *object* boundaries — a
 sweep that reloads the same entry from the memory-mapped cache, or
@@ -97,10 +99,11 @@ Fallbacks (always exact, never approximate): custom prefetchers serialize
 on their ``on_access`` hook, so they run through the Python backend, as
 does any lane with an L1 associativity other than 1 or 2, negative block
 addresses, a next-line run whose buffer would overflow, a spatial region
-wider than the int64 masks, a SHIFT group whose index and history
-capacities differ, or SHIFT history triggers within ``region_blocks`` of
-the int64 limit (the kernel's ``trigger + offset`` would overflow where
-Python ints grow).
+wider than the int64 masks, stream state the kernel cannot hold (more
+restored streams than stream buffers, outstanding sets that disagree with
+the owner map, values beyond int64), or history triggers within
+``region_blocks`` of the int64 limit (the kernel's ``trigger + offset``
+would overflow where Python ints grow).
 """
 
 from __future__ import annotations
@@ -122,10 +125,9 @@ from ..prefetchers import (
     PIFPrefetcher,
     Prefetcher,
     SHIFTPrefetcher,
-    _expand_offsets,
     _Stream,
 )
-from . import _shift_kernel
+from . import _stream_kernel
 from .base import Backend
 from .python_backend import PythonBackend
 
@@ -383,13 +385,6 @@ class _WarmLaneArrays(_LaneArrays):
             (self.init_m[tset] == targets) | (self.init_o[tset] == targets)
         )
         return hit | initial
-
-
-def _initial_content(arr: _LaneArrays) -> Tuple[List[int], List[int]]:
-    """Per-set initial ``(MRU, LRU)`` columns for the per-event loops."""
-    if arr.warm:
-        return arr.init_m.tolist(), arr.init_o.tolist()
-    return [-1] * arr.num_sets, [-1] * arr.num_sets
 
 
 def _write_l1_state(cache, arr: _LaneArrays) -> None:
@@ -1164,7 +1159,7 @@ def _run_next_line(lanes, inflight: Dict[int, int], degree: int, llc) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# PIF
+# Stream engines: PIF, SHIFT and consolidated SHIFT
 
 
 def _compactor_records(
@@ -1247,445 +1242,20 @@ def _compactor_records_python(a, region_blocks, init_trigger, init_mask):
     return rec_pos, rec_trigger, rec_mask, trigger, mask
 
 
-#: Cross-run memo of solved PIF lanes.  A PIF run is a pure function of
-#: (trace, PIF configuration, starting state) — the state entering the key
-#: as the prefetcher/buffer digests, so fresh and warm (chunk-resume) runs
-#: share the machinery — and the counters, the LLC event stream and the
-#: prefetcher's final state are captured once and replayed onto later
-#: runs' objects; only the in-flight classification (stats-only) is
-#: applied per run.  Sweeps that revisit a trace with an unchanged PIF
-#: configuration (e.g. the LLC-capacity axis) hit this directly.
-_PIF_CACHE: "OrderedDict[tuple, list]" = OrderedDict()
-_PIF_CACHE_MAX = 256
+#: Cross-run memo of solved stream runs.  A PIF or SHIFT run is a pure
+#: function of (traces, history groups, stream configuration, starting
+#: state) — the state entering the key as the prefetcher/buffer digests:
+#: the per-lane counters and LLC event streams plus each group's append
+#: schedule are captured once and replayed onto later runs' objects.  Only
+#: the in-flight classification (stats-only) is applied per run.  Sweeps
+#: that revisit a trace with an unchanged configuration (the LLC-capacity
+#: axis: stream solutions do not depend on the LLC) hit it directly.
+_STREAM_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
+_STREAM_CACHE_MAX = 512
 
 
-class _PIFLaneSolution:
-    """Everything one PIF lane run produces from a digested starting state."""
-
-    __slots__ = (
-        "misses",
-        "issued",
-        "evicted",
-        "dispatches",
-        "record_reads",
-        "ages",
-        "records",
-        "next_pos",
-        "index_items",
-        "final_trigger",
-        "final_mask",
-        "buffer_items",
-        "streams",
-        "owner_items",
-        "d_steps",
-        "d_addrs",
-        "p_steps",
-        "p_addrs",
-    )
-
-
-def _apply_pif_solution(lane, arr: _LaneArrays, solution: _PIFLaneSolution, prefetcher, inflight_c):
-    """Replay a captured lane solution onto the per-run objects.
-
-    The solution stores *absolute* final state, so every container is
-    cleared before being set: an ``update`` on warm state would keep an
-    existing key's old OrderedDict position and corrupt FIFO/LRU order
-    (for fresh objects the clears are no-ops).
-    """
-    core_id, _addresses, _cache, buffer, stats = lane
-    engine = prefetcher._streams[core_id]
-    history = prefetcher._histories[core_id]
-    index = prefetcher._indices[core_id]
-    compactor = prefetcher._compactors[core_id]
-    history._records[:] = solution.records
-    history._next_pos = solution.next_pos
-    index._entries.clear()
-    index._entries.update(solution.index_items)
-    compactor._trigger = solution.final_trigger
-    compactor._mask = solution.final_mask
-    buffer._blocks.clear()
-    buffer._blocks.update(solution.buffer_items)
-    buffer.evicted_unused = solution.evicted
-    streams = [_Stream(0) for _ in solution.streams]
-    for stream, (next_pos, outstanding) in zip(streams, solution.streams):
-        stream.next_pos = next_pos
-        stream.outstanding = set(outstanding)
-    engine._streams[:] = streams
-    engine._owner.clear()
-    engine._owner.update(
-        (block, streams[slot]) for block, slot in solution.owner_items
-    )
-    engine.dispatches = solution.dispatches
-    engine.record_reads = solution.record_reads
-    buffer_hits = solution.ages.size
-    timely = int(np.count_nonzero(solution.ages >= inflight_c))
-    stats.demand_hits = arr.n - solution.misses - buffer_hits
-    stats.prefetch_hits = timely
-    stats.late_hits = buffer_hits - timely
-    stats.misses = solution.misses
-    stats.prefetches_issued = solution.issued
-
-
-def _pif_events_entry(lane, num_demand, num_pf, steps, addrs):
-    return (
-        lane[4],
-        steps,
-        addrs,
-        np.concatenate([np.ones(num_demand, dtype=bool), np.zeros(num_pf, dtype=bool)]),
-        np.concatenate(
-            [np.full(num_demand, -1, dtype=np.int64), np.arange(num_pf, dtype=np.int64)]
-        ),
-    )
-
-
-def _run_pif(lanes, inflight: Dict[int, int], prefetcher: PIFPrefetcher, llc) -> None:
-    config = prefetcher._config
-    region_blocks = config.spatial_region.region_blocks
-    if region_blocks > 62:
-        raise _Unsupported("region masks beyond int64 need the Python loops")
-    arrays = _lane_arrays_for(lanes)
-    cache_key = (
-        tuple(arr.key for arr in arrays),
-        tuple(lane[0] for lane in lanes),
-        tuple(lane[3]._capacity for lane in lanes),
-        region_blocks,
-        config.stream_buffer.num_streams,
-        config.stream_buffer.lookahead_records,
-        config.stream_buffer.capacity_records,
-        config.history_entries,
-        config.index_entries,
-        prefetcher.state_key(),
-        tuple(lane[3].state_key() for lane in lanes),
-    )
-    per_lane = []
-    solutions = _cache_get(_PIF_CACHE, cache_key)
-    if solutions is not None:
-        for lane, arr, solution in zip(lanes, arrays, solutions):
-            _apply_pif_solution(lane, arr, solution, prefetcher, inflight[lane[0]])
-            _write_l1_state(lane[2], arr)
-            if llc is not None:
-                per_lane.append(
-                    _pif_events_entry(
-                        lane,
-                        solution.d_steps.size,
-                        solution.p_steps.size,
-                        np.concatenate([solution.d_steps, solution.p_steps]),
-                        np.concatenate([solution.d_addrs, solution.p_addrs]),
-                    )
-                )
-        _replay_llc(llc, per_lane, ("pif", cache_key))
-        return
-    compactors = prefetcher._compactors
-    all_records = [
-        _compactor_records(
-            arr.a, region_blocks, compactors[lane[0]]._trigger, compactors[lane[0]]._mask
-        )
-        for lane, arr in zip(lanes, arrays)
-    ]
-    offsets_table = _expand_offsets(region_blocks)
-    num_streams = config.stream_buffer.num_streams
-    lookahead = config.stream_buffer.lookahead_records
-    outstanding_cap = config.stream_buffer.capacity_records * region_blocks
-    solutions = []
-    for lane, arr, records in zip(lanes, arrays, all_records):
-        solution, events = _pif_lane(
-            lane,
-            arr,
-            records,
-            prefetcher,
-            inflight[lane[0]],
-            True,
-            offsets_table,
-            num_streams,
-            lookahead,
-            outstanding_cap,
-            capture=True,
-        )
-        solutions.append(solution)
-        _write_l1_state(lane[2], arr)
-        if llc is not None:
-            demand_steps, demand_addrs, pf_steps, pf_addrs = events
-            per_lane.append(
-                _pif_events_entry(
-                    lane,
-                    len(demand_steps),
-                    len(pf_steps),
-                    np.asarray(demand_steps + pf_steps, dtype=np.int64),
-                    np.asarray(demand_addrs + pf_addrs, dtype=np.int64),
-                )
-            )
-    _cache_put(_PIF_CACHE, _PIF_CACHE_MAX, cache_key, solutions)
-    _replay_llc(llc, per_lane, ("pif", cache_key))
-
-
-def _pif_lane(
-    lane,
-    arr: _LaneArrays,
-    compactor_records,
-    prefetcher: PIFPrefetcher,
-    inflight_c: int,
-    track_llc: bool,
-    offsets_table,
-    num_streams: int,
-    lookahead: int,
-    outstanding_cap: int,
-    capture: bool = False,
-):
-    """Event loop over one PIF core: exact mirror of the Python fast path,
-    with the per-access cache and compactor work replaced by the
-    precomputed hit flags, record stream and 2-way set contents."""
-    core_id, _addresses, cache, buffer, stats = lane
-    engine = prefetcher._streams[core_id]
-    history = prefetcher._histories[core_id]
-    index = prefetcher._indices[core_id]
-    compactor = prefetcher._compactors[core_id]
-    records = history._records
-    hist_cap = history._capacity
-    next_pos = history._next_pos
-    index_entries = index._entries
-    index_capacity = index._capacity
-    index_get = index_entries.get
-    index_move_to_end = index_entries.move_to_end
-    index_popitem = index_entries.popitem
-    streams = engine._streams
-    owner = engine._owner
-    owner_pop = owner.pop
-    dispatches = engine.dispatches
-    record_reads = engine.record_reads
-    bmap = buffer._blocks
-    bcap = buffer._capacity
-    bpop = bmap.pop
-    bpopitem = bmap.popitem
-    blen = len(bmap)
-    num_sets = cache._num_sets
-    # L1 set contents after the latest fill: {content_m[s], content_o[s]},
-    # seeded with any restored warm contents.  Hits never change a 2-way
-    # set's *membership*, so updates happen only on non-hit accesses, from
-    # the precomputed co-resident array.
-    content_m, content_o = _initial_content(arr)
-    a_list = arr.a.tolist()
-    hit_list = arr.l1_hit.tolist()
-    other_list = arr.other_after.tolist()
-    set_list = arr.setidx.tolist()
-    rec_pos, rec_trigger, rec_mask, final_trigger, final_mask = compactor_records
-    rec_count = len(rec_pos)
-    rec_index = 0
-    next_rec = rec_pos[0] if rec_count else -1
-    demand_steps: List[int] = []
-    demand_addrs: List[int] = []
-    pf_steps: List[int] = []
-    pf_addrs: List[int] = []
-    add_dstep = demand_steps.append
-    add_daddr = demand_addrs.append
-    add_pstep = pf_steps.append
-    add_paddr = pf_addrs.append
-    #: Prefetch-buffer hit ages (step - issue step); classified against the
-    #: in-flight window after the loop — the split is stats-only.
-    ages: List[int] = []
-    add_age = ages.append
-    misses = 0
-    issued = 0
-    # Evictions accumulate on top of any restored count: the absolute final
-    # value is what the capture stores and the checkpoint serializes.
-    evicted = buffer.evicted_unused
-    for step, address, hit in zip(range(arr.n), a_list, hit_list):
-        if step == next_rec:
-            trigger = rec_trigger[rec_index]
-            records[next_pos % hist_cap] = (trigger, rec_mask[rec_index])
-            if trigger in index_entries:
-                index_entries[trigger] = next_pos
-                index_move_to_end(trigger)
-            else:
-                index_entries[trigger] = next_pos
-                if len(index_entries) > index_capacity:
-                    index_popitem(last=False)
-            next_pos += 1
-            rec_index += 1
-            next_rec = rec_pos[rec_index] if rec_index < rec_count else -1
-        if hit:
-            is_miss = False
-        else:
-            issued_at = bpop(address, None)
-            if issued_at is not None:
-                blen -= 1
-                add_age(step - issued_at)
-                is_miss = False
-            else:
-                misses += 1
-                is_miss = True
-                if track_llc:
-                    add_dstep(step)
-                    add_daddr(address)
-            set_index = set_list[step]
-            content_m[set_index] = address
-            content_o[set_index] = other_list[step]
-        if is_miss:
-            # StreamEngine.on_miss, as in the Python fast path.
-            stale = owner_pop(address, None)
-            if stale is not None:
-                stale.outstanding.discard(address)
-            pos = index_get(address)
-            if pos is not None and 0 <= pos < next_pos and pos >= next_pos - hist_cap:
-                stream = _Stream(pos)
-                if len(streams) >= num_streams:
-                    retired = streams.pop(0)
-                    for block in retired.outstanding:
-                        owner_pop(block, None)
-                    retired.outstanding.clear()
-                streams.append(stream)
-                dispatches += 1
-                blocks: List[int] = []
-                spos = pos
-                for _ in range(lookahead):
-                    if spos < 0 or spos >= next_pos or spos < next_pos - hist_cap:
-                        break
-                    record = records[spos % hist_cap]
-                    if record is None:
-                        break
-                    spos += 1
-                    record_reads += 1
-                    rec_t, rec_m = record
-                    blocks.append(rec_t)
-                    for offset in offsets_table[rec_m]:
-                        blocks.append(rec_t + offset)
-                stream.next_pos = spos
-                outstanding = stream.outstanding
-                for block in blocks:
-                    if block not in owner:
-                        owner[block] = stream
-                        outstanding.add(block)
-                        if block != address:
-                            block_set = block % num_sets
-                            if (
-                                block != content_m[block_set]
-                                and block != content_o[block_set]
-                                and block not in bmap
-                            ):
-                                bmap[block] = step
-                                blen += 1
-                                issued += 1
-                                if track_llc:
-                                    add_pstep(step)
-                                    add_paddr(block)
-                                if blen > bcap:
-                                    bpopitem(last=False)
-                                    blen -= 1
-                                    evicted += 1
-        else:
-            # StreamEngine.on_consume, as in the Python fast path.
-            stream = owner_pop(address, None)
-            if stream is not None:
-                outstanding = stream.outstanding
-                outstanding.discard(address)
-                if len(outstanding) < outstanding_cap:
-                    spos = stream.next_pos
-                    if 0 <= spos < next_pos and spos >= next_pos - hist_cap:
-                        record = records[spos % hist_cap]
-                        if record is not None:
-                            stream.next_pos = spos + 1
-                            record_reads += 1
-                            rec_t, rec_m = record
-                            if rec_t not in owner:
-                                owner[rec_t] = stream
-                                outstanding.add(rec_t)
-                                block_set = rec_t % num_sets
-                                if (
-                                    rec_t != content_m[block_set]
-                                    and rec_t != content_o[block_set]
-                                    and rec_t not in bmap
-                                ):
-                                    bmap[rec_t] = step
-                                    blen += 1
-                                    issued += 1
-                                    if track_llc:
-                                        add_pstep(step)
-                                        add_paddr(rec_t)
-                                    if blen > bcap:
-                                        bpopitem(last=False)
-                                        blen -= 1
-                                        evicted += 1
-                            for offset in offsets_table[rec_m]:
-                                block = rec_t + offset
-                                if block not in owner:
-                                    owner[block] = stream
-                                    outstanding.add(block)
-                                    block_set = block % num_sets
-                                    if (
-                                        block != content_m[block_set]
-                                        and block != content_o[block_set]
-                                        and block not in bmap
-                                    ):
-                                        bmap[block] = step
-                                        blen += 1
-                                        issued += 1
-                                        if track_llc:
-                                            add_pstep(step)
-                                            add_paddr(block)
-                                        if blen > bcap:
-                                            bpopitem(last=False)
-                                            blen -= 1
-                                            evicted += 1
-    ages_arr = np.asarray(ages, dtype=np.int64)
-    buffer_hits = ages_arr.size
-    timely = int(np.count_nonzero(ages_arr >= inflight_c))
-    stats.demand_hits = arr.n - misses - buffer_hits
-    stats.prefetch_hits = timely
-    stats.late_hits = buffer_hits - timely
-    stats.misses = misses
-    stats.prefetches_issued = issued
-    buffer.evicted_unused = evicted
-    history._next_pos = next_pos
-    compactor._trigger = final_trigger
-    compactor._mask = final_mask
-    engine.dispatches = dispatches
-    engine.record_reads = record_reads
-    solution = None
-    if capture:
-        solution = _PIFLaneSolution()
-        solution.misses = misses
-        solution.issued = issued
-        solution.evicted = evicted
-        solution.dispatches = dispatches
-        solution.record_reads = record_reads
-        solution.ages = ages_arr
-        solution.records = list(records)
-        solution.next_pos = next_pos
-        solution.index_items = list(index_entries.items())
-        solution.final_trigger = final_trigger
-        solution.final_mask = final_mask
-        solution.buffer_items = list(bmap.items())
-        slot_of = {id(stream): slot for slot, stream in enumerate(streams)}
-        solution.streams = [
-            (stream.next_pos, list(stream.outstanding)) for stream in streams
-        ]
-        solution.owner_items = [
-            (block, slot_of[id(stream)]) for block, stream in owner.items()
-        ]
-        solution.d_steps = np.asarray(demand_steps, dtype=np.int64)
-        solution.d_addrs = np.asarray(demand_addrs, dtype=np.int64)
-        solution.p_steps = np.asarray(pf_steps, dtype=np.int64)
-        solution.p_addrs = np.asarray(pf_addrs, dtype=np.int64)
-    return solution, (demand_steps, demand_addrs, pf_steps, pf_addrs)
-
-
-# ---------------------------------------------------------------------------
-# SHIFT / consolidated SHIFT (shared history, epoch-split)
-
-
-#: Cross-run memo of solved SHIFT runs.  A SHIFT run is a pure function of
-#: (traces, group structure, SHIFT configuration, starting state) — the
-#: state entering the key as the prefetcher/buffer digests: the per-lane
-#: counters and LLC event streams plus each group's final
-#: history/index/compactor state are captured once and replayed onto later
-#: runs' objects — the same contract as ``_PIF_CACHE``, extended with the
-#: shared-group write-back.  Only the in-flight classification
-#: (stats-only) is applied per run.
-_SHIFT_CACHE: "OrderedDict[tuple, tuple]" = OrderedDict()
-_SHIFT_CACHE_MAX = 512
-
-
-class _ShiftLaneSolution:
-    """Everything one SHIFT stream lane run produces.
+class _StreamLaneSolution:
+    """Everything one stream lane run produces.
 
     The final buffer, streams and owner map are pairs of int64 columns as
     the kernel wrote them — (blocks, issue steps) in FIFO order, (next
@@ -1712,8 +1282,8 @@ class _ShiftLaneSolution:
     )
 
 
-class _ShiftGroupState:
-    """One shared-history group's append schedule for a solved run.
+class _StreamGroupState:
+    """One history group's append schedule for a solved run.
 
     Stored as the *delta* against the starting state the solution was
     keyed on (the appended records and the final open compactor region),
@@ -1745,23 +1315,19 @@ class _ShiftGroupState:
         self.applied = None
 
 
-def _run_shift(kernel, lanes, inflight: Dict[int, int], prefetcher, llc) -> None:
+def _run_stream(kernel, lanes, inflight: Dict[int, int], prefetcher, llc) -> None:
+    """PIF, SHIFT and consolidated SHIFT: each history group (PIF: one per
+    core) is solved by the compiled stream-lane kernel, then replayed onto
+    this run's objects."""
     config = prefetcher._config
     region_blocks = config.spatial_region.region_blocks
     if region_blocks > 62:
         raise _Unsupported("region masks beyond int64 need the Python loops")
     groups, roles = resolve_stream_roles(lanes, prefetcher)
-    for group in groups:
-        if group.index._capacity != group.history._capacity:
-            # The latest-put closed form relies on index evictions always
-            # being stale under the history validity window, which needs
-            # index capacity == history capacity (true for every SHIFT
-            # construction; guarded for safety).
-            raise _Unsupported("index/history capacity mismatch")
     arrays = _lane_arrays_for(lanes)
-    records_per_block = config.records_per_llc_block if config.virtualized else 0
     group_sig = tuple(
-        (group.core_ids, group.trainer_core, group.history._capacity) for group in groups
+        (group.core_ids, group.trainer_core, group.history._capacity, group.index._capacity)
+        for group in groups
     )
     cache_key = (
         tuple(arr.key for arr in arrays),
@@ -1771,29 +1337,23 @@ def _run_shift(kernel, lanes, inflight: Dict[int, int], prefetcher, llc) -> None
         config.stream_buffer.num_streams,
         config.stream_buffer.lookahead_records,
         config.stream_buffer.capacity_records,
-        records_per_block,
+        tuple(role[1]._records_per_llc_block for role in roles if role is not None),
         group_sig,
         prefetcher.state_key(),
         tuple(lane[3].state_key() for lane in lanes),
     )
-    solved = _cache_get(_SHIFT_CACHE, cache_key)
+    solved = _cache_get(_STREAM_CACHE, cache_key)
     if solved is None:
-        solved = _solve_shift(
-            kernel, lanes, arrays, roles, groups, region_blocks, config, records_per_block
-        )
-        _cache_put(_SHIFT_CACHE, _SHIFT_CACHE_MAX, cache_key, solved)
-    _apply_shift_solution(
-        lanes, arrays, roles, groups, solved, inflight, llc, cache_key
-    )
+        solved = _solve_stream(kernel, lanes, arrays, roles, groups, region_blocks, config)
+        _cache_put(_STREAM_CACHE, _STREAM_CACHE_MAX, cache_key, solved)
+    _apply_stream_solution(lanes, arrays, roles, groups, solved, inflight, llc, cache_key)
 
 
-def _solve_shift(
-    kernel, lanes, arrays, roles, groups, region_blocks, config, records_per_block
-):
-    """Solve a SHIFT run without touching any run object.
+def _solve_stream(kernel, lanes, arrays, roles, groups, region_blocks, config):
+    """Solve a stream run without touching any run object.
 
-    Warm (chunk-resume) runs are handled by treating the restored shared
-    state as epoch 0's visible prefix: each group's restored ``next_pos``
+    Warm (chunk-resume) runs are handled by treating each group's restored
+    state as epoch 0's visible prefix: the restored ``next_pos``
     becomes the base append position, its history ring and index entries
     seed the per-lane solvers, and the chunk's appends stack on top at
     absolute positions ``base + k``.  Fresh state makes all of that empty
@@ -1815,7 +1375,7 @@ def _solve_shift(
                 arr.a, region_blocks, compactor._trigger, compactor._mask
             )
     group_columns = [
-        _ShiftGroupColumns(records, group, region_blocks)
+        _StreamGroupColumns(records, group, region_blocks)
         for records, group in zip(group_records, groups)
     ]
     lane_solutions = []
@@ -1825,7 +1385,7 @@ def _solve_shift(
             continue
         group_index, engine, _is_trainer = role
         lane_solutions.append(
-            _shift_lane_solve(
+            _stream_lane_solve(
                 kernel,
                 arr,
                 group_columns[group_index],
@@ -1833,11 +1393,10 @@ def _solve_shift(
                 engine,
                 lane[3],
                 config.stream_buffer,
-                records_per_block,
             )
         )
     group_states = [
-        _ShiftGroupState(
+        _StreamGroupState(
             columns.base_pos, records[1], records[2], records[3], records[4]
         )
         for columns, records in zip(group_columns, group_records)
@@ -1845,30 +1404,43 @@ def _solve_shift(
     return lane_solutions, group_states
 
 
-class _ShiftGroupColumns:
+class _StreamGroupColumns:
     """One group's history view, packed as the lane kernel's ``group``
-    array (see :mod:`._shift_kernel`): the append schedule, then the
-    restored ring's populated slots."""
+    array (see :mod:`._stream_kernel`): the append schedule, the restored
+    ring's populated slots, then the restored index entries in FIFO
+    order."""
 
-    __slots__ = ("packed", "base_pos", "hist_cap")
+    __slots__ = ("packed", "base_pos", "hist_cap", "index_cap")
 
     def __init__(self, records, group, region_blocks: int) -> None:
         history = group.history
         self.base_pos = base_pos = history._next_pos
         self.hist_cap = cap = history._capacity
+        self.index_cap = group.index._capacity
         # Every slot below base_pos (the last `cap` positions) is populated.
         ring = history._records if base_pos >= cap else history._records[:base_pos]
+        index_items = group.index._entries.items()
         rec_step, rec_trigger, rec_mask = records[:3]
         total = len(rec_step)
         self.packed = packed = _int64_packed(
             chain(
-                (total, len(ring)), rec_step, rec_trigger, rec_mask, chain.from_iterable(ring)
+                (total, len(ring), len(index_items)),
+                rec_step,
+                rec_trigger,
+                rec_mask,
+                chain.from_iterable(ring),
+                chain.from_iterable(index_items),
             ),
-            2 + 3 * total + 2 * len(ring),
+            3 + 3 * total + 2 * len(ring) + 2 * len(index_items),
         )
         # The kernel forms blocks as trigger + offset (offset < region_blocks)
-        # in int64 and reduces them modulo the set count.
-        for triggers in (packed[2 + total : 2 + 2 * total], packed[2 + 3 * total :: 2]):
+        # in int64 and reduces them modulo the set count; index triggers are
+        # only compared, never offset.
+        ring_at = 3 + 3 * total
+        for triggers in (
+            packed[3 + total : 3 + 2 * total],
+            packed[ring_at : ring_at + 2 * len(ring) : 2],
+        ):
             if triggers.size and (
                 int(triggers.min()) < 0
                 or int(triggers.max()) > _INT64_MAX - region_blocks
@@ -1884,30 +1456,28 @@ def _int64_packed(values, count: int) -> np.ndarray:
         raise _Unsupported("state values beyond int64 need the Python loops") from None
 
 
-def _shift_lane_solve(
+def _stream_lane_solve(
     kernel,
     arr: _LaneArrays,
-    group: _ShiftGroupColumns,
+    group: _StreamGroupColumns,
     delta: int,
     engine,
     buffer,
     stream_config,
-    records_per_llc_block: int,
-) -> _ShiftLaneSolution:
-    """Event loop over one SHIFT lane against the precomputed append
-    schedule, run by the compiled kernel (:mod:`._shift_kernel`).
+) -> _StreamLaneSolution:
+    """Event loop over one stream lane against the precomputed append
+    schedule, run by the compiled kernel (:mod:`._stream_kernel`).
 
-    The shared history is written only by the trainer lane, at the
-    schedule's steps — between appends it is frozen (an epoch), so this
-    lane's replay is independent of every other lane given the schedule.
-    The append at trainer step ``t`` becomes visible to this lane at step
-    ``t`` when the lane runs at-or-after the trainer in the round-robin
-    core order (``delta == 0``) and at ``t + 1`` otherwise; the count of
-    visible absolute append positions stands in for the live
-    ``history._next_pos``, and the last visible position per trigger
-    replaces ``IndexTable.get`` exactly: SHIFT's index capacity equals
-    the history capacity, so any FIFO-evicted index entry already fails
-    the validity window ``visible - hist_cap <= pos < visible``.
+    A group's history is written only by its trainer lane (PIF: the lane
+    itself), at the schedule's steps — between appends it is frozen (an
+    epoch), so this lane's replay is independent of every other lane given
+    the schedule.  The append at trainer step ``t`` becomes visible to
+    this lane at step ``t`` when the lane runs at-or-after the trainer in
+    the round-robin core order (``delta == 0``) and at ``t + 1``
+    otherwise; the count of visible absolute append positions stands in
+    for the live ``history._next_pos``, and the lane's index view is the
+    group's ``IndexTable`` with every visible append put into it in
+    schedule order — the same puts, in the same order, the trainer made.
 
     Warm resumes enter through ``group.base_pos`` (the restored
     ``next_pos``): restored appends live at absolute positions below it
@@ -1928,10 +1498,11 @@ def _shift_lane_solve(
     named = {
         "delta": delta,
         "hist_cap": group.hist_cap,
+        "index_cap": group.index_cap,
         "num_streams": num_streams,
         "lookahead": stream_config.lookahead_records,
         "outstanding_cap": stream_config.capacity_records * engine._region_blocks,
-        "records_per_llc_block": records_per_llc_block,
+        "records_per_llc_block": engine._records_per_llc_block,
         "buffer_cap": buffer._capacity,
         "base_pos": group.base_pos,
         "dispatches": engine.dispatches,
@@ -1942,7 +1513,7 @@ def _shift_lane_solve(
         "n_owner": len(owner),
         "n_buffer": len(buffered),
     }
-    scalars = [named[name] for name in _shift_kernel.STATE]
+    scalars = [named[name] for name in _stream_kernel.STATE]
     state = _int64_packed(
         chain(
             scalars,
@@ -1973,11 +1544,11 @@ def _shift_lane_solve(
     n = a.size
     lane_sizes = (hit.size, other.size, setidx.size, init_m.size, init_o.size)
     if lane_sizes != (n, n, n, arr.num_sets, arr.num_sets):
-        raise ValueError("SHIFT lane kernel inputs disagree in length")
+        raise ValueError("stream lane kernel inputs disagree in length")
     buffer_slots = max(buffer._capacity, len(buffered))
     p_cap, owner_cap = n + 64, len(owner) + 1024
     while True:
-        layout = _shift_kernel.out_layout(n, buffer_slots, num_streams, p_cap, owner_cap)
+        layout = _stream_kernel.out_layout(n, buffer_slots, num_streams, p_cap, owner_cap)
         out = np.empty(layout["size"], dtype=np.int64)
         rc = kernel(
             a.ctypes.data, hit.ctypes.data, other.ctypes.data, setidx.ctypes.data, n,
@@ -1985,11 +1556,11 @@ def _shift_lane_solve(
             group.packed.ctypes.data, state.ctypes.data, out.ctypes.data,
             p_cap, owner_cap,
         )
-        counts = dict(zip(_shift_kernel.COUNTS, out[: len(_shift_kernel.COUNTS)].tolist()))
+        counts = dict(zip(_stream_kernel.COUNTS, out[: len(_stream_kernel.COUNTS)].tolist()))
         if rc == 0:
             break
         if rc < 0:
-            raise MemoryError("the SHIFT lane kernel ran out of memory")
+            raise MemoryError("the stream lane kernel ran out of memory")
         # An output outgrew its first guess; the counts hold the exact sizes.
         p_cap, owner_cap = counts["issued"], counts["n_owner"]
 
@@ -1998,7 +1569,7 @@ def _shift_lane_solve(
 
     misses, issued = counts["misses"], counts["issued"]
     n_buffer, n_streams, n_owner = counts["n_buffer"], counts["n_streams"], counts["n_owner"]
-    solution = _ShiftLaneSolution()
+    solution = _StreamLaneSolution()
     solution.misses = misses
     solution.issued = issued
     solution.evicted = counts["evicted"]
@@ -2016,16 +1587,31 @@ def _shift_lane_solve(
     return solution
 
 
-def _apply_shift_solution(
+def _stream_events_entry(lane, solution: _StreamLaneSolution):
+    """A lane's LLC events for :func:`_replay_llc`: demand misses, then
+    prefetches in issue order (a step's miss precedes its prefetches)."""
+    num_demand, num_pf = solution.d_steps.size, solution.p_steps.size
+    return (
+        lane[4],
+        np.concatenate([solution.d_steps, solution.p_steps]),
+        np.concatenate([solution.d_addrs, solution.p_addrs]),
+        np.concatenate([np.ones(num_demand, dtype=bool), np.zeros(num_pf, dtype=bool)]),
+        np.concatenate(
+            [np.full(num_demand, -1, dtype=np.int64), np.arange(num_pf, dtype=np.int64)]
+        ),
+    )
+
+
+def _apply_stream_solution(
     lanes, arrays, roles, groups, solved, inflight, llc, cache_key
 ) -> None:
-    """Replay a solved SHIFT run onto this run's objects.
+    """Replay a solved stream run onto this run's objects.
 
     Per-lane solutions store *absolute* final state, so lane containers
     are cleared before being set (an ``update`` on warm state would keep
     an existing key's old OrderedDict position); for fresh objects the
     clears are no-ops.  Group state is applied as the solved append-
-    schedule delta (see :class:`_ShiftGroupState`).
+    schedule delta (see :class:`_StreamGroupState`).
     """
     lane_solutions, group_states = solved
     per_lane = []
@@ -2070,15 +1656,7 @@ def _apply_shift_solution(
         stats.misses = solution.misses
         stats.prefetches_issued = solution.issued
         if llc is not None:
-            per_lane.append(
-                _pif_events_entry(
-                    lane,
-                    solution.d_steps.size,
-                    solution.p_steps.size,
-                    np.concatenate([solution.d_steps, solution.p_steps]),
-                    np.concatenate([solution.d_addrs, solution.p_addrs]),
-                )
-            )
+            per_lane.append(_stream_events_entry(lane, solution))
     for group, state in zip(groups, group_states):
         history = group.history
         entries = group.index._entries
@@ -2100,6 +1678,7 @@ def _apply_shift_solution(
         rec_trigger, rec_mask = state.rec_trigger, state.rec_mask
         total = len(rec_trigger)
         base_pos, cap = state.base_pos, history._capacity
+        index_cap = group.index._capacity
         ring = history._records
         for pos in range(max(0, total - cap), total):
             ring[(base_pos + pos) % cap] = (rec_trigger[pos], rec_mask[pos])
@@ -2111,7 +1690,7 @@ def _apply_shift_solution(
                 entries.move_to_end(trigger)
             else:
                 entries[trigger] = base_pos + pos
-                if len(entries) > cap:
+                if len(entries) > index_cap:
                     entries.popitem(last=False)
         group.compactor._trigger = state.final_trigger
         group.compactor._mask = state.final_mask
@@ -2120,27 +1699,33 @@ def _apply_shift_solution(
             history._next_pos,
             tuple(entries.items()),
         )
-    _replay_llc(llc, per_lane, ("shift", cache_key))
+    _replay_llc(llc, per_lane, ("stream", cache_key))
 
 
 # ---------------------------------------------------------------------------
 # Backend
 
 
+#: The stream-engine families: every one runs the compiled stream lane.
+_STREAM_PREFETCHERS = (PIFPrefetcher, SHIFTPrefetcher, ConsolidatedSHIFTPrefetcher)
+
+
 class NumPyBackend(Backend):
     """Batch-vectorized loops for the built-in engine families.
 
-    SHIFT's shared-history round-robin is split into epochs at its
-    precomputed history-append boundaries; custom prefetchers run through
-    the Python backend, as do configurations outside the vectorized
-    loops' closed forms — the results are identical either way.
+    PIF, SHIFT and consolidated SHIFT run one compiled stream-lane kernel:
+    each history group's round-robin is split into epochs at its
+    precomputed history-append boundaries, and each lane's index view is
+    an exact bounded ``IndexTable``.  Custom prefetchers run through the
+    Python backend, as do configurations outside the vectorized loops'
+    closed forms — the results are identical either way.
     """
 
     name = "numpy"
 
     def __init__(self) -> None:
         self._python = PythonBackend()
-        self._shift_lane = _shift_kernel.load()
+        self._stream_lane = _stream_kernel.load()
 
     def run(self, lanes, inflight: Dict[int, int], prefetcher, llc=None) -> None:
         ptype = type(prefetcher)
@@ -2153,11 +1738,8 @@ class NumPyBackend(Backend):
                     return
                 # The buffer would overflow: the per-block decoupling no
                 # longer holds.  Nothing was mutated; replay in Python.
-            elif ptype is PIFPrefetcher:
-                _run_pif(lanes, inflight, prefetcher, llc)
-                return
-            elif ptype is SHIFTPrefetcher or ptype is ConsolidatedSHIFTPrefetcher:
-                _run_shift(self._shift_lane, lanes, inflight, prefetcher, llc)
+            elif ptype in _STREAM_PREFETCHERS:
+                _run_stream(self._stream_lane, lanes, inflight, prefetcher, llc)
                 return
         except _Unsupported:
             pass

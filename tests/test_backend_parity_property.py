@@ -13,13 +13,22 @@ path through the vectorized replay.  Each direct-simulation case asserts
 the numpy backend actually took the vectorized path (the solution memo is
 populated) so parity cannot silently come from the Python fallback.
 
-The compiled SHIFT lane kernel is pinned against the python backend on
-seeded random configurations (stream count, lookahead, buffer capacity,
-region width with dense masks, trainer core, consolidated groups, warm
-chunked resumes), comparing every counter, the LLC statistics, the
-prefetcher snapshot (owner insertion order included) and the prefetch
-buffers' FIFO order; the int64-headroom guard is checked to refuse
-before any write.
+The numpy backend runs PIF and SHIFT on one compiled stream-lane kernel
+(PIF as one history group per core, with an index a quarter of its
+history or any other size).  The kernel is pinned against the python
+backend on seeded random SHIFT configurations (stream count, lookahead,
+buffer capacity, region width with dense masks, trainer core,
+consolidated groups, warm chunked resumes) and PIF configurations
+(history and index capacities, index 4..history), comparing every
+counter, the LLC statistics, the prefetcher snapshot (index FIFO and
+owner insertion order included), the prefetch buffers' FIFO order and
+the L1 contents, and asserting the kernel actually ran.
+:func:`kernel_differential` runs the same cases on a larger seed budget
+(CI's bench job).  Every ``_Unsupported`` raise in the stream solver —
+int64 headroom for PIF and SHIFT, and for PIF more restored streams than
+stream buffers, outstanding sets the owner map disagrees with, and
+counters beyond int64 — is forced and checked to leave prefetcher,
+buffer, L1, stats and LLC state unchanged.
 
 The python backend's PIF runs on the same stream loop as SHIFT, with one
 history group per core; seeded random PIF configurations (history and
@@ -28,7 +37,10 @@ buffer capacity, uneven lanes, chunked runs) pin it against the generic
 round-robin loop that a ``PIFPrefetcher`` subclass runs.
 """
 
+import contextlib
+import copy
 import dataclasses
+import functools
 import random
 from dataclasses import asdict
 
@@ -43,6 +55,7 @@ from repro.config import (
     scaled_shift_config,
     scaled_system,
 )
+from repro.errors import SimulationError
 from repro.experiments import run_experiment
 from repro.sim import CoreResult, PrefetchBuffer, SetAssociativeCache, SimulationEngine
 from repro.sim import prefetchers
@@ -51,6 +64,7 @@ from repro.sim.prefetchers import (
     ConsolidatedSHIFTPrefetcher,
     PIFPrefetcher,
     SHIFTPrefetcher,
+    _Stream,
 )
 from repro.workloads.generator import generate_traces
 from repro.workloads.suite import WORKLOAD_NAMES, scaled_workload, workload_by_name
@@ -116,14 +130,14 @@ def _run_shift_pair(make_prefetcher, trace_set, system):
     """Simulate with fresh prefetchers per backend; the numpy run must take
     the vectorized epoch-split path, not the exact Python fallback."""
     prefetchers, results = {}, {}
-    numpy_backend._SHIFT_CACHE.clear()
+    numpy_backend._STREAM_CACHE.clear()
     for backend in ("python", "numpy"):
         prefetchers[backend] = make_prefetcher()
         engine = SimulationEngine(
             system=system, prefetcher=prefetchers[backend], backend=backend
         )
         results[backend] = engine.run(trace_set)
-    assert numpy_backend._SHIFT_CACHE, "numpy run fell back to the Python loops"
+    assert numpy_backend._STREAM_CACHE, "numpy run fell back to the Python loops"
     _assert_same_simulation(results["python"], results["numpy"])
     return prefetchers
 
@@ -232,7 +246,7 @@ class TestShiftEpochSplitEdges:
 
 
 # ---------------------------------------------------------------------------
-# Compiled SHIFT lane kernel vs the python backend
+# Compiled stream-lane kernel vs the python backend
 
 KERNEL_SEEDS = tuple(range(24))
 
@@ -345,14 +359,14 @@ def _drive(backend, system, prefetcher, trace_set, buffer_blocks, chunk):
 def _counting_numpy_backend():
     """A NumPyBackend whose compiled lane kernel counts its calls."""
     backend = numpy_backend.NumPyBackend()
-    kernel = backend._shift_lane
+    kernel = backend._stream_lane
     calls = []
 
     def counted(*args):
         calls.append(1)
         return kernel(*args)
 
-    backend._shift_lane = counted
+    backend._stream_lane = counted
     return backend, calls
 
 
@@ -368,25 +382,123 @@ class _OffsetsOnDemand:
         return tuple(offset for offset in self._offsets if mask >> (offset - 1) & 1)
 
 
-class TestShiftLaneKernelParity:
-    @pytest.mark.parametrize("seed", KERNEL_SEEDS)
-    def test_kernel_matches_python_backend(self, seed, monkeypatch):
+@contextlib.contextmanager
+def _wide_region_offsets(region):
+    """Serve ``region``'s offsets on demand while the python reference runs."""
+    tables = prefetchers._EXPAND_TABLES
+    if region <= 16 or region in tables:
+        yield
+        return
+    tables[region] = _OffsetsOnDemand(region)
+    try:
+        yield
+    finally:
+        del tables[region]
+
+
+def check_kernel_case(family, seed):
+    """One seeded kernel-parity case: ``family`` ("pif" or "shift") through
+    the numpy backend's compiled stream lane and through the python
+    backend, compared on every observable :func:`_drive` returns.  Raises
+    AssertionError on a mismatch or when the numpy run never reached the
+    kernel (parity from the Python fallback proves nothing).
+
+    Returns False, having compared nothing, when the simulator rejects the
+    sampled system itself (a virtualized history too large to pin in a
+    small LLC) — on either backend alike."""
+    if family == "shift":
         system, make, trace_set, buffer_blocks, chunk = _kernel_case(seed)
-        region = make().config.spatial_region.region_blocks
-        if region > 16:
-            monkeypatch.setitem(
-                prefetchers._EXPAND_TABLES, region, _OffsetsOnDemand(region)
-            )
-        numpy_backend._SHIFT_CACHE.clear()
-        backend, calls = _counting_numpy_backend()
+    else:
+        system, num_cores, config, trace_set, buffer_blocks, chunk = _pif_case(seed)
+        make = functools.partial(PIFPrefetcher, num_cores, config)
+    try:
+        SimulationEngine(system, prefetcher=make())._build_llc(trace_set)
+    except SimulationError:
+        return False
+    numpy_backend._STREAM_CACHE.clear()
+    backend, calls = _counting_numpy_backend()
+    with _wide_region_offsets(make().config.spatial_region.region_blocks):
         reference = _drive(
             get_backend("python"), system, make(), trace_set, buffer_blocks, chunk
         )
         candidate = _drive(backend, system, make(), trace_set, buffer_blocks, chunk)
-        assert calls, "the numpy run never reached the compiled kernel"
-        assert candidate == reference
+    assert calls, f"{family} seed {seed}: the numpy run never reached the compiled kernel"
+    assert candidate == reference, f"{family} seed {seed}: numpy diverged from python"
+    return True
 
-    def test_int64_headroom_guard_refuses_before_any_write(self):
+
+def kernel_differential(seeds):
+    """:func:`check_kernel_case` for PIF and SHIFT on every seed in ``seeds``
+    (a larger budget than tier-1 runs, for CI); prints a one-line summary
+    and fails on the first mismatch."""
+    compared = rejected = 0
+    for seed in seeds:
+        for family in ("pif", "shift"):
+            if check_kernel_case(family, seed):
+                compared += 1
+            else:
+                rejected += 1
+    print(
+        f"stream kernel differential OK: {compared} cases matched, "
+        f"{rejected} sampled systems rejected by the simulator"
+    )
+
+
+class TestShiftLaneKernelParity:
+    @pytest.mark.parametrize("seed", KERNEL_SEEDS)
+    def test_kernel_matches_python_backend(self, seed):
+        assert check_kernel_case("shift", seed)
+
+
+#: Small stream prefetchers for the refusal cases: SHIFT's index is as
+#: large as its history, PIF's a quarter of it.
+STREAM_FAMILIES = {
+    "shift": lambda num_cores: SHIFTPrefetcher(
+        num_cores, config=scaled_shift_config(16, history_entries=256)
+    ),
+    "pif": lambda num_cores: PIFPrefetcher(
+        num_cores, PIFConfig(history_entries=64, index_entries=16)
+    ),
+}
+
+
+def _observe(prefetcher, lanes, llc):
+    return (
+        prefetcher.state_key(),
+        [(lane[2].state_key(), lane[3].state_key(), asdict(lane[4])) for lane in lanes],
+        llc.snapshot(),
+    )
+
+
+def _warm_second_chunk(prefetcher, traces, system, split):
+    """Run ``traces[:split]`` on the python backend, so the second chunk
+    starts from restored state worth protecting; returns that chunk's
+    lanes, the LLC and the in-flight windows."""
+    caches = {t.core_id: SetAssociativeCache(system.l1i) for t in traces.traces}
+    buffers = {t.core_id: PrefetchBuffer(64) for t in traces.traces}
+    llc = SimulationEngine(system, prefetcher=prefetcher)._build_llc(traces)
+    inflight = {t.core_id: 3 for t in traces.traces}
+
+    def lanes_for(start, stop):
+        return [
+            (t.core_id, t.window(start, stop), caches[t.core_id],
+             buffers[t.core_id], CoreResult(core_id=t.core_id))
+            for t in traces.traces
+        ]
+
+    get_backend("python").run(lanes_for(0, split), inflight, prefetcher, llc)
+    stop = max(t.num_accesses for t in traces.traces)
+    return lanes_for(split, stop), llc, inflight
+
+
+class TestStreamSolverRefusals:
+    """Every ``_Unsupported`` raise in the stream solver comes before its
+    first write: the refused run leaves prefetcher, buffer, L1, stats and
+    LLC state exactly as it found them, so the Python fallback starts
+    from the true state."""
+
+    @pytest.mark.parametrize("family", sorted(STREAM_FAMILIES))
+    def test_int64_headroom_guard_refuses_before_any_write(self, family):
         """Triggers within region_blocks of the int64 limit would overflow
         trigger + offset in C: the solver refuses (after a warm first chunk,
         so there is restored state to protect), nothing changes, and the
@@ -400,45 +512,61 @@ class TestShiftLaneKernelParity:
             ]
         )
         system = scaled_system(num_cores=2)
-        config = scaled_shift_config(16, history_entries=256)
-
-        def observe(prefetcher, lanes, llc):
-            return (
-                prefetcher.state_key(),
-                [(lane[2].state_key(), lane[3].state_key(), asdict(lane[4]))
-                 for lane in lanes],
-                llc.snapshot(),
-            )
-
-        def lanes_for(caches, buffers, start, stop):
-            return [
-                (t.core_id, t.window(start, stop), caches[t.core_id],
-                 buffers[t.core_id], CoreResult(core_id=t.core_id))
-                for t in traces.traces
-            ]
-
-        prefetcher = SHIFTPrefetcher(2, config=config)
-        caches = {t.core_id: SetAssociativeCache(system.l1i) for t in traces.traces}
-        buffers = {t.core_id: PrefetchBuffer(64) for t in traces.traces}
-        llc = SimulationEngine(system, prefetcher=prefetcher)._build_llc(traces)
-        inflight = {0: 3, 1: 3}
-        get_backend("python").run(
-            lanes_for(caches, buffers, 0, 200), inflight, prefetcher, llc
-        )
-        lanes = lanes_for(caches, buffers, 200, 400)
-        before = observe(prefetcher, lanes, llc)
+        make = functools.partial(STREAM_FAMILIES[family], 2)
+        prefetcher = make()
+        lanes, llc, inflight = _warm_second_chunk(prefetcher, traces, system, 200)
+        before = _observe(prefetcher, lanes, llc)
         backend = numpy_backend.NumPyBackend()
         with pytest.raises(numpy_backend._Unsupported, match="int64 max"):
-            numpy_backend._run_shift(
-                backend._shift_lane, lanes, inflight, prefetcher, llc
+            numpy_backend._run_stream(
+                backend._stream_lane, lanes, inflight, prefetcher, llc
             )
-        assert observe(prefetcher, lanes, llc) == before
-        assert _drive(
-            backend, system, SHIFTPrefetcher(2, config=config), traces, 64, 200
-        ) == _drive(
-            get_backend("python"), system, SHIFTPrefetcher(2, config=config),
-            traces, 64, 200,
+        assert _observe(prefetcher, lanes, llc) == before
+        assert _drive(backend, system, make(), traces, 64, 200) == _drive(
+            get_backend("python"), system, make(), traces, 64, 200
         )
+
+    @pytest.mark.parametrize(
+        "site, match",
+        [
+            ("streams", "more restored streams than stream buffers"),
+            ("outstanding", "stream outstanding sets disagree"),
+            ("int64", "beyond int64"),
+        ],
+    )
+    def test_pif_state_refusals_leave_state_untouched(self, site, match):
+        """Restored PIF state the kernel cannot hold — more streams than
+        stream buffers, an outstanding set the owner map disagrees with, a
+        counter beyond int64 — is refused before any write, and the
+        backend's fallback then matches the python backend."""
+        rng = random.Random(11)
+        traces = _dense_traces(rng, 2, 600, 8)
+        system = scaled_system(num_cores=2)
+        prefetcher = STREAM_FAMILIES["pif"](2)
+        lanes, llc, inflight = _warm_second_chunk(prefetcher, traces, system, 300)
+        engine = prefetcher._streams[1]
+        num_streams = prefetcher.config.stream_buffer.num_streams
+        if site == "streams":
+            engine._streams.extend(
+                _Stream(0) for _ in range(num_streams + 1 - len(engine._streams))
+            )
+        elif site == "outstanding":
+            if not engine._streams:
+                engine._streams.append(_Stream(0))
+            engine._streams[-1].outstanding.add(-1)  # a block no owner entry names
+        else:
+            engine.dispatches = 2**64
+        before = _observe(prefetcher, lanes, llc)
+        twin = copy.deepcopy((prefetcher, lanes, llc))
+        backend = numpy_backend.NumPyBackend()
+        with pytest.raises(numpy_backend._Unsupported, match=match):
+            numpy_backend._run_stream(
+                backend._stream_lane, lanes, inflight, prefetcher, llc
+            )
+        assert _observe(prefetcher, lanes, llc) == before
+        backend.run(lanes, inflight, prefetcher, llc)
+        get_backend("python").run(twin[1], inflight, twin[0], twin[2])
+        assert _observe(prefetcher, lanes, llc) == _observe(*twin)
 
 
 #: Seeds of the python-PIF vs generic-loop cases.
@@ -485,3 +613,9 @@ class TestPIFStreamLaneParity:
             buffer_blocks, chunk,
         )
         assert fast == generic
+
+    @pytest.mark.parametrize("seed", PIF_SEEDS)
+    def test_numpy_pif_kernel_matches_python_backend(self, seed):
+        """The numpy backend runs PIF on the compiled stream lane, one
+        history group per core, with an exact bounded index."""
+        assert check_kernel_case("pif", seed)

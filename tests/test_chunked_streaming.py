@@ -436,9 +436,9 @@ class TestWarmStateVectorizedReplay:
         solver_cache = {
             "none": nb._ARRAY_CACHE,
             "next_line": nb._NEXT_LINE_CACHE,
-            "pif": nb._PIF_CACHE,
-            "shift": nb._SHIFT_CACHE,
-            "shift_groups": nb._SHIFT_CACHE,
+            "pif": nb._STREAM_CACHE,
+            "shift": nb._STREAM_CACHE,
+            "shift_groups": nb._STREAM_CACHE,
         }[family]
         overlays_before = warm_overlays()
         solver_before = set(solver_cache)

@@ -1,4 +1,4 @@
-"""Build, cache and load of the numpy backend's compiled SHIFT kernel.
+"""Build, cache and load of the numpy backend's compiled stream-lane kernel.
 
 Each scenario that needs a cold or broken cache runs in a subprocess over a
 copy of the package (no ``__pycache__``), so the cache the rest of the
@@ -16,7 +16,7 @@ import pytest
 pytest.importorskip("numpy")
 
 import repro  # noqa: E402
-from repro.sim.backends import _native, _shift_kernel  # noqa: E402
+from repro.sim.backends import _native, _stream_kernel  # noqa: E402
 
 PACKAGE = Path(repro.__file__).resolve().parent
 
@@ -24,13 +24,13 @@ PACKAGE = Path(repro.__file__).resolve().parent
 #: against the python backend; prints the kernel object's path.
 SIMULATE = """
 from repro.sim import simulate
-from repro.sim.backends import _native, _shift_kernel
+from repro.sim.backends import _native, _stream_kernel
 from repro.workloads import generate_traces, scaled_workload
 traces = generate_traces(scaled_workload("oltp_db2", 16), num_cores=2, blocks_per_core=600)
 numpy = simulate(traces, prefetcher="shift", backend="numpy")
 python = simulate(traces, prefetcher="shift", backend="python")
 assert numpy == python
-print(_native.object_path("shift_kernel", _shift_kernel.SOURCE))
+print(_native.object_path("stream_kernel", _stream_kernel.SOURCE))
 """
 
 #: Reports what the registry says about numpy.
@@ -71,8 +71,8 @@ def _package_copy(tmp_path):
 
 
 def _cached_object():
-    _shift_kernel.load()
-    return _native.object_path("shift_kernel", _shift_kernel.SOURCE)
+    _stream_kernel.load()
+    return _native.object_path("stream_kernel", _stream_kernel.SOURCE)
 
 
 def test_fresh_process_reuses_cached_object_without_compiler(tmp_path):
@@ -114,7 +114,7 @@ def test_kernel_source_compiles_warning_free(tmp_path):
     done = subprocess.run(
         [*_native.COMPILE_COMMAND, "-Wall", "-Wextra", "-Werror",
          "-o", str(tmp_path / "kernel.so"), "-x", "c", "-"],
-        input=_shift_kernel.SOURCE,
+        input=_stream_kernel.SOURCE,
         capture_output=True,
         text=True,
         timeout=120,
